@@ -3,6 +3,7 @@ separation-experiment harness."""
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -14,7 +15,7 @@ from .core import (clause, clause_key, emit_dimacs, measures,
 from .errors import CapExceededError, CnfError, IntegrityError, ParseError
 from .hardness import hd, phd, whd, wid
 from .mpsdope import dope, mps_enumerate, mps_via_doping
-from .primes import prime_report
+from .primes import prime_implicates, prime_report
 from .trees import (extremal_tree, leaf_paths, tree_stats, tree_to_clauses,
                     tree_to_term)
 from .trigger import (hypergraph_to_json, matching_number,
@@ -169,7 +170,7 @@ def cmd_measure(args, cfg):
             elif name == "phd":
                 report[name] = phd(f, cap_vars=min(cap_vars, 12))
             elif name == "primes":
-                report[name] = len(prime_report(f, cap_vars=cap_vars).primes)
+                report[name] = len(prime_implicates(f))
             elif name == "mps":
                 report[name] = len(mps_enumerate(f).members)
             else:
@@ -255,9 +256,7 @@ def cmd_trigger(args, cfg):
 
 def cmd_kbase(args, cfg):
     f = _read_clause_set(args.input)
-    cap_vars = _setting(args, cfg, "cap_vars", 24)
-    rep = prime_report(f, cap_vars=cap_vars)
-    base = kc.k_base(rep.primes, args.k)
+    base = kc.k_base(prime_implicates(f), args.k)
     text = emit_dimacs(base.clauses, comments=["%d-base" % args.k])
     _emit(args, text)
     meta = {
@@ -451,7 +450,10 @@ def cmd_selftest(args, cfg):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing never changes
+    it, and every parse returns a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="cnfkc",
         description="CNF knowledge-compilation workbench")

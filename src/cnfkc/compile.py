@@ -155,40 +155,46 @@ def answer_query(kind, f, k, clause=None, assignment=None, other=None,
 def enumerate_models(f, k, cap_models=2 ** 20):
     """All total models over var(f), found by a decision tree whose dead
     branches are cut by level-k refutation (never by full search)."""
-    vs = sorted(variables(f))
     out = []
-
-    def rec(i, phi, g):
-        if g == TOP:
-            rest = vs[i:]
-            for bits in itertools.product((0, 1), repeat=len(rest)):
-                model = dict(phi)
-                model.update(zip(rest, bits))
-                out.append(model)
-                if len(out) > cap_models:
-                    raise CapExceededError(
-                        "model enumeration exceeded %d" % cap_models)
-            return True
-        if k_res_refutes(g, k)[0]:
-            return False
-        if i == len(vs):
-            raise AssertionError(
-                "total assignment left a clause-set that is neither "
-                "satisfied nor refutable")
-        zero = dict(phi)
-        zero[vs[i]] = 0
-        one = dict(phi)
-        one[vs[i]] = 1
-        left = rec(i + 1, zero, apply_assignment({vs[i]: 0}, g))
-        right = rec(i + 1, one, apply_assignment({vs[i]: 1}, g))
-        if not (left or right):
-            raise IntegrityError(
-                "level-%d resolution missed an unsatisfiable branch" % k,
-                witness=dict(phi))
-        return True
-
-    rec(0, {}, f)
+    _models_below(sorted(variables(f)), 0, {}, f, k, cap_models, out)
     return out
+
+
+def _models_below(vs, i, phi, g, k, cap_models, out):
+    """Append to `out` the models extending phi, which sets vs[:i] and
+    leaves g; False if level-k resolution refutes g.
+
+    Not a closure: a recursive closure is a reference cycle, which would
+    keep `out` alive until the cyclic garbage collector reaches it."""
+    if g == TOP:
+        rest = vs[i:]
+        for bits in itertools.product((0, 1), repeat=len(rest)):
+            model = dict(phi)
+            model.update(zip(rest, bits))
+            out.append(model)
+            if len(out) > cap_models:
+                raise CapExceededError(
+                    "model enumeration exceeded %d" % cap_models)
+        return True
+    if k_res_refutes(g, k)[0]:
+        return False
+    if i == len(vs):
+        raise AssertionError(
+            "total assignment left a clause-set that is neither "
+            "satisfied nor refutable")
+    zero = dict(phi)
+    zero[vs[i]] = 0
+    one = dict(phi)
+    one[vs[i]] = 1
+    left = _models_below(vs, i + 1, zero, apply_assignment({vs[i]: 0}, g),
+                         k, cap_models, out)
+    right = _models_below(vs, i + 1, one, apply_assignment({vs[i]: 1}, g),
+                          k, cap_models, out)
+    if not (left or right):
+        raise IntegrityError(
+            "level-%d resolution missed an unsatisfiable branch" % k,
+            witness=dict(phi))
+    return True
 
 
 def check_query_against_oracle(kind, f, k, cap_vars=16, **extra):

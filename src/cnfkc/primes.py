@@ -4,8 +4,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (BOT, TOP, apply_assignment, clause_falsifier, clause_key,
-                   resolvable, resolve, sorted_clauses, subsumption_eliminate,
-                   variables)
+                   sorted_clauses, subsumption_eliminate, variables)
 from .errors import CapExceededError
 from .propagation import sat_oracle
 
@@ -24,28 +23,70 @@ def equivalent(f, g, cap_vars=24):
 
 
 def prime_implicates(f, cap_clauses=100000):
-    """Resolution closure of f with subsumption elimination interleaved.
+    """Prime implicates of f by Tison's consensus method.
+
+    Clauses are packed into integer bitmasks: with the variables of f
+    numbered 0, 1, ... in ascending order, literal v of the i-th variable
+    is bit 2i and -v is bit 2i+1.  Variable by variable, every
+    non-tautological resolvent on it is added in ascending size; a
+    resolvent that a kept clause subsumes is dropped, and kept clauses
+    that it subsumes are removed.  Resolvents on a variable no longer
+    contain it, so each variable needs a single pass.  `cap_clauses`
+    bounds the working set after each variable.
 
     Returns exactly the inclusion-minimal implicates.  TOP yields TOP,
     anything unsatisfiable yields {BOT}.
     """
-    current = subsumption_eliminate(f)
-    while True:
-        cls = sorted_clauses(current)
-        fresh = set()
-        for i in range(len(cls)):
-            for j in range(i):
-                if not resolvable(cls[i], cls[j]):
-                    continue
-                r = resolve(cls[i], cls[j])
-                if r not in current and not any(d <= r for d in current):
-                    fresh.add(r)
-        if not fresh:
-            return current
-        current = subsumption_eliminate(current | fresh)
-        if len(current) > cap_clauses:
+    lits = [x for v in sorted(variables(f)) for x in (v, -v)]
+    bit = {x: 1 << i for i, x in enumerate(lits)}
+    positive = sum(1 << i for i in range(0, len(lits), 2))
+    # every clause ever kept, by index; per literal, the bitmap of the
+    # indices whose clause holds it; the bitmap of indices still kept.
+    # Both subsumption tests of `add` are then a few big-int operations
+    # per literal instead of a scan over the kept clauses.
+    store = []
+    occ = [0] * len(lits)
+    alive = 0
+
+    def members(indices):
+        while indices:
+            low = indices & -indices
+            yield store[low.bit_length() - 1]
+            indices ^= low
+
+    def add(r):
+        nonlocal alive
+        outside, inside = 0, alive
+        for b, o in enumerate(occ):
+            if r >> b & 1:
+                inside &= o
+            else:
+                outside |= o
+        if alive & ~outside:
+            return  # a kept clause has no literal outside r
+        new = 1 << len(store)
+        store.append(r)
+        alive = alive & ~inside | new
+        for b in range(len(occ)):
+            if r >> b & 1:
+                occ[b] |= new
+
+    for m in sorted({sum(bit[x] for x in c) for c in f}, key=int.bit_count):
+        add(m)
+    for i in range(0, len(lits), 2):
+        pos, neg = 1 << i, 2 << i
+        ps = [c ^ pos for c in members(alive & occ[i])]
+        ns = [c ^ neg for c in members(alive & occ[i + 1])]
+        fresh = {p | n for p in ps for n in ns
+                 if not (p | n) & ((p | n) >> 1) & positive}
+        for r in sorted(fresh, key=int.bit_count):
+            add(r)
+        if alive.bit_count() > cap_clauses:
             raise CapExceededError(
                 "prime implicate closure exceeded %d clauses" % cap_clauses)
+    return frozenset(
+        frozenset(x for j, x in enumerate(lits) if m >> j & 1)
+        for m in members(alive))
 
 
 def prime_implicates_bruteforce(f, cap_vars=12):
@@ -97,9 +138,14 @@ def prime_implicants(f, cap_count=100000):
     return subsumption_eliminate(found)
 
 
-def essential_primes(f, cap_vars=24):
-    """Primes that no other primes can replace."""
-    primes = prime_implicates(f)
+def essential_primes(f, cap_vars=24, primes=None):
+    """Primes that no other primes can replace.
+
+    `primes`, when given, must be the prime implicates of f; it saves
+    recomputing the closure.
+    """
+    if primes is None:
+        primes = prime_implicates(f)
     out = set()
     for c in primes:
         rest = primes - {c}
@@ -118,6 +164,6 @@ class PrimeReport:
 
 def prime_report(f, cap_vars=24):
     primes = prime_implicates(f)
-    ess = essential_primes(f, cap_vars=cap_vars)
+    ess = essential_primes(f, cap_vars=cap_vars, primes=primes)
     return PrimeReport(primes=primes, essential=ess,
                        count=len(primes), essential_count=len(ess))

@@ -226,7 +226,7 @@ def min_equivalent_size(f, k, mode="exhaustive", cap_primes=18,
     if primes is None:
         primes = prime_implicates(f)
     vs = sorted_clauses(primes)
-    ess = essential_primes(f)
+    ess = essential_primes(f, primes=primes)
     g = trigger_hypergraph(f, k, primes=primes)
     tau = transversal_number(g, cap_nodes=cap_nodes)
     floor = max(tau.lower_bound, len(ess))

@@ -7,7 +7,8 @@ the real algorithms is the point of the tests that import them.
 
 import itertools
 
-from cnfkc.core import BOT, apply_assignment, clause, variables
+from cnfkc.core import (BOT, apply_assignment, clause, resolvable, resolve,
+                        sorted_clauses, subsumption_eliminate, variables)
 from cnfkc.propagation import propagate, unit_propagate
 from cnfkc.trees import LEAF, Inner
 
@@ -43,6 +44,25 @@ def implies_tt(f, c):
                 phi[abs(x)] == (1 if x > 0 else 0) for x in c):
             return False
     return True
+
+
+def prime_implicates_allpairs(f):
+    """Resolution closure with subsumption elimination: every round
+    resolves all pairs of the current clauses, until none is new."""
+    current = subsumption_eliminate(f)
+    while True:
+        cls = sorted_clauses(current)
+        fresh = set()
+        for i in range(len(cls)):
+            for j in range(i):
+                if not resolvable(cls[i], cls[j]):
+                    continue
+                r = resolve(cls[i], cls[j])
+                if r not in current and not any(d <= r for d in current):
+                    fresh.add(r)
+        if not fresh:
+            return current
+        current = subsumption_eliminate(current | fresh)
 
 
 def partial_assignments(vs):

@@ -1,8 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
-from cnfkc.cli import (build_g_n, build_horn_chain, main, separation_row)
+import cnfkc
+from cnfkc.cli import (build_g_n, build_horn_chain, build_parser, main,
+                       separation_row)
 from cnfkc.core import clause, emit_dimacs, measures, parse_dimacs
 
 import pytest
@@ -128,6 +133,16 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_kbase_beyond_oracle_cap_exit_code(tmp_path, capsys):
+    # deciding whether a unit prime is essential leaves the other 25
+    # variables to the SAT oracle, one above its cap
+    path = tmp_path / "units.cnf"
+    path.write_text(emit_dimacs(frozenset(clause([v])
+                                          for v in range(1, 27))))
+    code, _ = run(capsys, "kbase", "--k", "1", str(path))
+    assert code == 3
+
+
 def test_integrity_error_exit_code(tmp_path, capsys):
     path = tmp_path / "square.cnf"
     path.write_text(emit_dimacs(cs([1, 2], [1, -2], [-1, 2], [-1, -2])))
@@ -249,3 +264,46 @@ def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out and "PASS" in out
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    # one parser serves every call; no value may carry over to the next
+    assert build_parser() is build_parser()
+    path = tmp_path / "wide.cnf"
+    path.write_text(emit_dimacs(frozenset(clause([v])
+                                          for v in range(1, 15))))
+    cfg = tmp_path / "cnfkc.cfg"
+    cfg.write_text("cap_vars = 4\n")
+
+    def hd_of(*argv):
+        code, out = run(capsys, *argv, "--measures", "hd")
+        assert code == 0
+        return json.loads(out)["hd"]
+
+    assert hd_of("--config", str(cfg), "measure", str(path),
+                 "--cap-vars", "20") == 0
+    assert hd_of("--config", str(cfg), "measure", str(path)) is None
+    assert hd_of("measure", str(path)) == 0
+    _, out = run(capsys, "generate", "--family", "g_n", "--n", "3")
+    assert parse_dimacs(out) == build_g_n(3)
+    _, out = run(capsys, "generate", "--family", "g_n", "--h", "2")
+    assert parse_dimacs(out) == build_g_n(2)
+    _, out = run(capsys, "separation", "--k-range", "1", "--h-range", "2",
+                 "--format", "json")
+    assert json.loads(out)[0]["primes"] == 15
+    _, out = run(capsys, "separation", "--k-range", "1", "--h-range", "2")
+    assert out.startswith("k,h,n,")
+    code, out = run(capsys, "selftest")
+    assert code == 0 and "FAIL" not in out
+
+
+def test_python_m_cnfkc_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cnfkc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "cnfkc", "selftest"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "PASS" in done.stdout and "FAIL" not in done.stdout

@@ -1,4 +1,7 @@
+import itertools
 import random
+
+from hypothesis import example, given, settings, strategies as st
 
 from cnfkc.core import BOT, TOP, clause, subsumption_eliminate
 from cnfkc.primes import (equivalent, essential_primes, implies,
@@ -52,6 +55,56 @@ def test_closure_matches_bruteforce():
     for _ in range(80):
         f = oracles.random_clause_set(rng, max_n=5, max_c=7)
         assert prime_implicates(f) == prime_implicates_bruteforce(f)
+
+
+@st.composite
+def clause_lists(draw):
+    """Clause lists over at most five variables with small or large ids,
+    the empty clause allowed, and some clauses listed twice."""
+    vs = draw(st.lists(st.integers(1, 6) | st.integers(7, 2000),
+                       min_size=1, max_size=5, unique=True))
+    one = st.dictionaries(st.sampled_from(vs), st.sampled_from((1, -1)),
+                          min_size=1, max_size=4)
+    cls = [frozenset(v * s for v, s in c.items())
+           for c in draw(st.lists(one, max_size=8))]
+    if draw(st.integers(0, 7)) == 7:
+        cls.append(BOT)
+    if cls:
+        cls += draw(st.lists(st.sampled_from(cls), max_size=2))
+    return tuple(cls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clause_lists())
+@example(())
+@example((BOT,))
+@example((BOT, clause([1]), clause([-1, 2])))
+@example((clause([1]), clause([-1])))
+@example((clause([1, 2]), clause([1, -2]), clause([-1, 2]),
+          clause([-1, -2])))
+@example((clause([1000, -7]),))
+@example((clause([1000, -7]), clause([7, 3]), clause([7, 3]),
+          clause([-1000]), clause([-1000])))
+def test_closure_matches_allpairs_and_bruteforce(f):
+    primes = prime_implicates(f)
+    assert primes == oracles.prime_implicates_allpairs(f)
+    assert primes == prime_implicates_bruteforce(f)
+    assert essential_primes(f) == essential_primes(f, primes=primes)
+
+
+def test_doped_tree_k1_h4_has_one_prime_per_leafset():
+    # the doped extremal tree at (k=1, h=4) has 11 leaves, so 2^11 - 1
+    # primes, one per nonempty set of leaves
+    from cnfkc.cli import build_extremal_doped
+    from cnfkc.trees import doped_clause_of_leafset, leaf_paths
+    t, d = build_extremal_doped(1, 4)
+    addrs = sorted(leaf_paths(t))
+    assert len(addrs) == 11
+    primes = prime_implicates(d.doped)
+    assert len(primes) == 2 ** 11 - 1
+    assert primes == {doped_clause_of_leafset(d, combo)
+                      for r in range(1, len(addrs) + 1)
+                      for combo in itertools.combinations(addrs, r)}
 
 
 def test_antichain_and_minimality():
