@@ -110,6 +110,16 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _emit_sidecar(args, doc):
+    """`doc` as JSON to the `--out` path plus ".json", else to stdout."""
+    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    if getattr(args, "out", None):
+        with open(args.out + ".json", "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _clauses_json(f):
     return [list(clause_key(c)) for c in sorted_clauses(f)]
 
@@ -142,9 +152,7 @@ def cmd_generate(args, cfg):
     text = emit_dimacs(f, comments=["family: %s" % family])
     _emit(args, text)
     if args.out:
-        with open(args.out + ".json", "w") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _emit_sidecar(args, meta)
     return 0
 
 
@@ -196,13 +204,7 @@ def cmd_primes(args, cfg):
     }
     text = emit_dimacs(rep.primes, comments=["prime implicates"])
     _emit(args, text)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out + ".json", "w") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-    else:
-        sys.stdout.write(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+    _emit_sidecar(args, sidecar)
     return 0
 
 
@@ -232,11 +234,8 @@ def cmd_dope(args, cfg):
     _emit(args, text)
     meta = {"doping_map": {str(u): list(clause_key(c))
                            for u, c in d.doping_map.items()}}
-    out = getattr(args, "out", None)
-    if out:
-        with open(out + ".json", "w") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+    if getattr(args, "out", None):
+        _emit_sidecar(args, meta)
     return 0
 
 
@@ -266,13 +265,7 @@ def cmd_kbase(args, cfg):
         "removed": _clauses_json(frozenset(base.removed)),
         "size": len(base.clauses),
     }
-    out = getattr(args, "out", None)
-    if out:
-        with open(out + ".json", "w") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-    else:
-        sys.stdout.write(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    _emit_sidecar(args, meta)
     return 0
 
 
@@ -361,7 +354,9 @@ def separation_row(k, h, cap_primes=18, cap_nodes=2 ** 20):
     if len(primes) <= cap_primes or tau.exact and tau.value >= len(primes):
         me = min_equivalent_size(f, k, mode="exhaustive",
                                  cap_primes=max(cap_primes, len(primes)),
-                                 cap_nodes=cap_nodes, primes=primes)
+                                 cap_nodes=cap_nodes, primes=primes,
+                                 essential=rep.essential, hypergraph=g,
+                                 tau=tau)
     else:
         floor = max(tau.lower_bound, len(rep.essential))
         me = _bound_only(floor)

@@ -9,7 +9,7 @@ from .core import (TOP, apply_assignment, clause_falsifier, clause_key,
 from .errors import CapExceededError, IntegrityError, ParseError
 from .hardness import hd_at_most, k_res_refutes
 from .mpsdope import pure_clause
-from .primes import implies
+from .primes import essential_primes, implies
 from .propagation import sat_oracle
 
 
@@ -38,8 +38,7 @@ def k_base(primes, k, mode="heuristic", cap_primes=18):
     """
     primes = frozenset(primes)
     order = sorted_clauses(primes)
-    ess = frozenset(c for c in order
-                    if not implies(primes - {c}, c))
+    ess = essential_primes(primes, primes=primes)
 
     def good(sub):
         return (_equivalent_subset(sub, primes)

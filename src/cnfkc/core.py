@@ -48,10 +48,6 @@ def sorted_clauses(f):
     return sorted(f, key=lambda c: (len(c), clause_key(c)))
 
 
-def sorted_literals(c):
-    return sorted(c, key=lambda x: (abs(x), x < 0))
-
-
 @dataclass(frozen=True)
 class Measures:
     n: int
@@ -108,13 +104,6 @@ def apply_assignment(phi, f):
         if not satisfied:
             out.add(frozenset(kept))
     return frozenset(out)
-
-
-def compose_assignments(first, second):
-    """Apply first, then second; second wins on conflicts."""
-    phi = dict(first)
-    phi.update(second)
-    return phi
 
 
 class ResolutionError(ValueError):

@@ -181,10 +181,3 @@ def has_max_doped_primes(f, cap_vars=24):
 def entailed_pure(f, cap_vars=24):
     """Does f entail its own pure clause?  (Prerequisite for premise sets.)"""
     return implies(f, pure_clause(f), cap_vars=cap_vars)
-
-
-def mps_report(f, cap_clauses=16, cap_vars=24):
-    """Direct and doped enumerations side by side; they must agree."""
-    direct = mps_enumerate(f, cap_clauses=cap_clauses, cap_vars=cap_vars)
-    doped = mps_via_doping(f, cap_vars=cap_vars)
-    return direct, doped

@@ -2,8 +2,8 @@
 
 from dataclasses import dataclass
 
-from .core import (BOT, apply_assignment, literal_assignment, literals_of,
-                   sorted_literals, variables)
+from .core import (BOT, apply_assignment, clause_key, literal_assignment,
+                   literals_of, variables)
 from .errors import CapExceededError
 
 REFUTED = frozenset([BOT])
@@ -28,7 +28,7 @@ def _result(f, assigned):
 
 def _candidate_literals(f):
     """Literals of f in the fixed scan order: ascending var, positive first."""
-    return sorted_literals(literals_of(f))
+    return clause_key(literals_of(f))
 
 
 def propagate(f, k, cache=None, select=None):
@@ -95,7 +95,7 @@ def unit_propagate(f):
     g = f
     while BOT not in g:
         unit = None
-        for c in sorted(g, key=lambda c: sorted_literals(c)):
+        for c in sorted(g, key=clause_key):
             if len(c) == 1:
                 unit = next(iter(c))
                 break

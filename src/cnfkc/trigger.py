@@ -59,45 +59,41 @@ class SearchResult:
     upper_bound: int
 
 
-class _NodeBudget:
-    def __init__(self, cap):
-        self.cap = cap
-        self.used = 0
-        self.hit = False
-
-    def spend(self):
-        self.used += 1
-        if self.used > self.cap:
-            self.hit = True
-        return self.hit
-
-
 def _dedupe_edges(g):
-    uniq = sorted(set(g.edges), key=lambda e: (len(e), sorted(e)))
-    return uniq
+    return sorted(set(g.edges), key=lambda e: (len(e), sorted(e)))
 
 
-def _greedy_cover(edges):
+def _vertices(mask):
+    return [v for v, b in enumerate(reversed(bin(mask))) if b == "1"]
+
+
+def _greedy_cover(masks, freq):
+    """Repeatedly take the vertex in most uncovered edges, least on ties;
+    `freq` counts each vertex's edges among `masks`."""
+    counts = dict(freq)
     chosen = []
-    uncovered = list(edges)
+    uncovered = masks
     while uncovered:
-        counts = {}
-        for e in uncovered:
-            for v in e:
-                counts[v] = counts.get(v, 0) + 1
-        best = max(sorted(counts), key=lambda v: counts[v])
+        best = min(counts, key=lambda v: (-counts[v], v))
         chosen.append(best)
-        uncovered = [e for e in uncovered if best not in e]
+        rest = []
+        for e in uncovered:
+            if e >> best & 1:
+                for v in _vertices(e):
+                    counts[v] -= 1
+            else:
+                rest.append(e)
+        uncovered = rest
     return chosen
 
 
-def _disjoint_edges(edges):
-    """Greedy pairwise-disjoint edge collection (a quick matching bound)."""
-    used = set()
+def _disjoint_edges(masks):
+    """Positions of greedy pairwise-disjoint edges (a quick matching bound)."""
+    used = 0
     picked = []
-    for e in edges:
-        if not (e & used):
-            picked.append(e)
+    for i, e in enumerate(masks):
+        if not e & used:
+            picked.append(i)
             used |= e
     return picked
 
@@ -105,73 +101,92 @@ def _disjoint_edges(edges):
 def transversal_number(g, cap_nodes=2 ** 20):
     """Exact minimum vertex set hitting every edge, by branch-and-bound.
 
-    Vertices are tried by descending edge-membership frequency, ties by
-    index, so witnesses are reproducible.  On hitting the node cap the
-    best known bounds are returned flagged inexact.
+    Depth-first with an explicit stack over bitmask edges.  It branches
+    on the smallest uncovered edge, trying its vertices by descending
+    edge-membership frequency, ties by index, so witnesses are
+    reproducible.  On hitting the node cap the best known bounds are
+    returned flagged inexact.
     """
     edges = _dedupe_edges(g)
     if not edges:
         return SearchResult(0, (), True, 0, 0)
     if any(not e for e in edges):
         raise ParseError("hypergraph has an empty edge; no transversal")
+    masks = [sum(1 << v for v in e) for e in edges]
     freq = {}
     for e in edges:
         for v in e:
             freq[v] = freq.get(v, 0) + 1
-    best = _greedy_cover(edges)
-    budget = _NodeBudget(cap_nodes)
-    state = {"best": list(best)}
-
-    def walk(chosen, uncovered):
-        if budget.spend():
-            return
+    order = {m: sorted(e, key=lambda v: (-freq[v], v))
+             for m, e in zip(masks, edges)}
+    best = _greedy_cover(masks, freq)
+    path = [0] * len(freq)  # path[:size] is the partial transversal
+    # (size, parent's uncovered edges, vertex just added or -1)
+    stack = [(0, masks, -1)]
+    for _ in range(cap_nodes):
+        if not stack:
+            break
+        size, uncovered, v = stack.pop()
+        if v >= 0:
+            path[size - 1] = v
+            bit = 1 << v
+            uncovered = [e for e in uncovered if not e & bit]
         if not uncovered:
-            if len(chosen) < len(state["best"]):
-                state["best"] = list(chosen)
-            return
-        floor = len(chosen) + len(_disjoint_edges(uncovered))
-        if floor >= len(state["best"]):
-            return
-        e = min(uncovered, key=lambda x: (len(x), sorted(x)))
-        for v in sorted(e, key=lambda v: (-freq[v], v)):
-            walk(chosen + [v], [x for x in uncovered if v not in x])
-
-    walk([], edges)
-    found = tuple(sorted(state["best"]))
-    if budget.hit:
-        lower = len(_disjoint_edges(edges))
+            if size < len(best):
+                best = path[:size]
+            continue
+        if size + len(_disjoint_edges(uncovered)) >= len(best):
+            continue
+        # uncovered keeps the (size, members) order: [0] is the smallest
+        for v in reversed(order[uncovered[0]]):
+            stack.append((size + 1, uncovered, v))
+    found = tuple(sorted(best))
+    if stack:  # capped with nodes left
+        lower = len(_disjoint_edges(masks))
         return SearchResult(len(found), found, False, lower, len(found))
     return SearchResult(len(found), found, True, len(found), len(found))
 
 
 def matching_number(g, cap_nodes=2 ** 20):
-    """Exact maximum number of pairwise disjoint edges."""
+    """Exact maximum number of pairwise disjoint edges.
+
+    Depth-first with an explicit stack over bitmask edges: at edge i,
+    first take it if it is disjoint from those taken, then skip it.
+    """
     edges = _dedupe_edges(g)
-    budget = _NodeBudget(cap_nodes)
-    state = {"best": []}
-    greedy = _disjoint_edges(edges)
-    if greedy:
-        state["best"] = [edges.index(e) for e in greedy]
-
-    def walk(i, used, chosen):
-        if budget.spend():
-            return
-        if len(chosen) > len(state["best"]):
-            state["best"] = list(chosen)
-        if i == len(edges) or len(chosen) + (len(edges) - i) <= len(
-                state["best"]):
-            return
-        e = edges[i]
-        if not (e & used):
-            walk(i + 1, used | e, chosen + [i])
-        walk(i + 1, used, chosen)
-
-    walk(0, frozenset(), [])
-    picked = tuple(edges[i] for i in state["best"])
-    value = len(picked)
-    if budget.hit:
-        return SearchResult(value, picked, False, value, len(edges))
-    return SearchResult(value, picked, True, value, value)
+    masks = [sum(1 << v for v in e) for e in edges]
+    n = len(masks)
+    best = _disjoint_edges(masks)
+    path = [0] * n  # path[:size] holds the positions taken
+    top = len(best)
+    stack = []  # skip branches still to visit: (i, used, size)
+    push, pop = stack.append, stack.pop
+    i = used = size = 0
+    exact = True
+    for _ in range(cap_nodes):
+        if size > top:
+            best = path[:size]
+            top = size
+        # at i == n this fails too, as size <= top by now
+        if size + n - i > top:
+            e = masks[i]
+            i += 1
+            if not e & used:
+                # visit the take branch next, the skip branch after it
+                push((i, used, size))
+                path[size] = i - 1
+                used |= e
+                size += 1
+            continue
+        if not stack:
+            break
+        i, used, size = pop()
+    else:
+        exact = False
+    picked = tuple(edges[j] for j in best)
+    if exact:
+        return SearchResult(top, picked, True, top, top)
+    return SearchResult(top, picked, False, top, n)
 
 
 def sperner_witness(t, k):
@@ -215,23 +230,31 @@ class MinEquivResult:
 
 
 def min_equivalent_size(f, k, mode="exhaustive", cap_primes=18,
-                        cap_nodes=2 ** 20, primes=None):
+                        cap_nodes=2 ** 20, primes=None, essential=None,
+                        hypergraph=None, tau=None):
     """Smallest equivalent subset of the primes with asymmetric width <= k.
 
     Exhaustive mode scans subsets by ascending size, forced to contain
     the essential primes and to hit every trigger edge.  Heuristic mode
     greedily adds primes by ascending size, then removes by descending
     size, and reports the result as an upper bound only.
+
+    `primes`, `essential`, `hypergraph` (level k) and `tau` (its
+    `transversal_number` under `cap_nodes`), when given, must be what
+    this function would compute from f; they save recomputing it.
     """
     if primes is None:
         primes = prime_implicates(f)
     vs = sorted_clauses(primes)
-    ess = essential_primes(f, primes=primes)
-    g = trigger_hypergraph(f, k, primes=primes)
-    tau = transversal_number(g, cap_nodes=cap_nodes)
-    floor = max(tau.lower_bound, len(ess))
+    if essential is None:
+        essential = essential_primes(f, primes=primes)
+    if hypergraph is None:
+        hypergraph = trigger_hypergraph(f, k, primes=primes)
+    if tau is None:
+        tau = transversal_number(hypergraph, cap_nodes=cap_nodes)
+    floor = max(tau.lower_bound, len(essential))
     if mode == "heuristic":
-        rep = _heuristic_base(vs, ess, k, primes)
+        rep = _heuristic_base(vs, essential, k, primes)
         return MinEquivResult(size=len(rep), representative=rep,
                               exact=False, lower_bound=floor)
     if floor >= len(vs) and tau.exact:
@@ -245,13 +268,13 @@ def min_equivalent_size(f, k, mode="exhaustive", cap_primes=18,
         raise CapExceededError(
             "exhaustive search capped at %d primes, got %d"
             % (cap_primes, len(vs)))
-    others = [c for c in vs if c not in ess]
-    edge_list = _dedupe_edges(g)
+    others = [c for c in vs if c not in essential]
+    edge_list = _dedupe_edges(hypergraph)
     index_of = {c: i for i, c in enumerate(vs)}
-    ess_idx = {index_of[c] for c in ess}
+    ess_idx = {index_of[c] for c in essential}
     for size in range(floor, len(vs) + 1):
-        for combo in itertools.combinations(others, size - len(ess)):
-            sub = ess | frozenset(combo)
+        for combo in itertools.combinations(others, size - len(essential)):
+            sub = essential | frozenset(combo)
             idxs = ess_idx | {index_of[c] for c in combo}
             if any(not (e & idxs) for e in edge_list):
                 continue

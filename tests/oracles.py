@@ -9,8 +9,10 @@ import itertools
 
 from cnfkc.core import (BOT, apply_assignment, clause, resolvable, resolve,
                         sorted_clauses, subsumption_eliminate, variables)
+from cnfkc.errors import ParseError
 from cnfkc.propagation import propagate, unit_propagate
 from cnfkc.trees import LEAF, Inner
+from cnfkc.trigger import SearchResult
 
 
 def total_assignments(vs):
@@ -63,6 +65,116 @@ def prime_implicates_allpairs(f):
         if not fresh:
             return current
         current = subsumption_eliminate(current | fresh)
+
+
+class _NodeBudget:
+    def __init__(self, cap):
+        self.cap = cap
+        self.used = 0
+        self.hit = False
+
+    def spend(self):
+        self.used += 1
+        if self.used > self.cap:
+            self.hit = True
+        return self.hit
+
+
+def _sorted_edges(g):
+    return sorted(set(g.edges), key=lambda e: (len(e), sorted(e)))
+
+
+def _greedy_cover(edges):
+    chosen = []
+    uncovered = list(edges)
+    while uncovered:
+        counts = {}
+        for e in uncovered:
+            for v in e:
+                counts[v] = counts.get(v, 0) + 1
+        best = max(sorted(counts), key=lambda v: counts[v])
+        chosen.append(best)
+        uncovered = [e for e in uncovered if best not in e]
+    return chosen
+
+
+def _disjoint_edges(edges):
+    used = set()
+    picked = []
+    for e in edges:
+        if not (e & used):
+            picked.append(e)
+            used |= e
+    return picked
+
+
+def transversal_number_recursive(g, cap_nodes=2 ** 20):
+    """The τ branch-and-bound written as a recursion over frozenset
+    edges: same node order, cap and bounds as `trigger.transversal_number`."""
+    edges = _sorted_edges(g)
+    if not edges:
+        return SearchResult(0, (), True, 0, 0)
+    if any(not e for e in edges):
+        raise ParseError("hypergraph has an empty edge; no transversal")
+    freq = {}
+    for e in edges:
+        for v in e:
+            freq[v] = freq.get(v, 0) + 1
+    best = _greedy_cover(edges)
+    budget = _NodeBudget(cap_nodes)
+    state = {"best": list(best)}
+
+    def walk(chosen, uncovered):
+        if budget.spend():
+            return
+        if not uncovered:
+            if len(chosen) < len(state["best"]):
+                state["best"] = list(chosen)
+            return
+        floor = len(chosen) + len(_disjoint_edges(uncovered))
+        if floor >= len(state["best"]):
+            return
+        e = min(uncovered, key=lambda x: (len(x), sorted(x)))
+        for v in sorted(e, key=lambda v: (-freq[v], v)):
+            walk(chosen + [v], [x for x in uncovered if v not in x])
+
+    walk([], edges)
+    found = tuple(sorted(state["best"]))
+    if budget.hit:
+        lower = len(_disjoint_edges(edges))
+        return SearchResult(len(found), found, False, lower, len(found))
+    return SearchResult(len(found), found, True, len(found), len(found))
+
+
+def matching_number_recursive(g, cap_nodes=2 ** 20):
+    """The ν branch-and-bound written as a recursion over frozenset
+    edges: same node order, cap and bounds as `trigger.matching_number`."""
+    edges = _sorted_edges(g)
+    budget = _NodeBudget(cap_nodes)
+    state = {"best": []}
+    greedy = _disjoint_edges(edges)
+    if greedy:
+        state["best"] = [edges.index(e) for e in greedy]
+
+    def walk(i, used, chosen):
+        if budget.spend():
+            return
+        if len(chosen) > len(state["best"]):
+            state["best"] = list(chosen)
+        if i == len(edges) or len(chosen) + (len(edges) - i) <= len(
+                state["best"]):
+            return
+        e = edges[i]
+        if not (e & used):
+            walk(i + 1, used | e, chosen + [i])
+        walk(i + 1, used, chosen)
+
+    walk(0, frozenset(), [])
+    picked = tuple(edges[i] for i in state["best"])
+    value = len(picked)
+    if budget.hit:
+        return SearchResult(value, picked, False, value, len(edges))
+    return SearchResult(value, picked, True, value, value)
 
 
 def partial_assignments(vs):

@@ -1,6 +1,8 @@
 import random
 from math import comb
 
+from hypothesis import example, given, settings, strategies as st
+
 from cnfkc.core import clause, sorted_clauses
 from cnfkc.errors import CapExceededError, ParseError
 from cnfkc.hardness import whd
@@ -111,6 +113,69 @@ def test_matching_trivial_cases():
         vertices=tuple(range(3)),
         edges=(frozenset([0, 1]), frozenset([0, 1])), k=1)
     assert matching_number(twins).value == 1
+
+
+def test_matching_on_a_deep_star_does_not_recurse():
+    # 1600 edges through vertex 0: the take branch runs 1600 edges deep
+    star = TriggerHypergraph(
+        vertices=tuple(range(1601)),
+        edges=tuple(frozenset([0, i]) for i in range(1, 1601)), k=1)
+    r = matching_number(star, cap_nodes=5000)
+    assert r.value == 1 and not r.exact
+
+
+def test_matching_on_the_k1_h4_hypergraph_under_a_small_cap():
+    from cnfkc.cli import build_extremal_doped
+    _, d = build_extremal_doped(1, 4)
+    g = trigger_hypergraph(d.doped, 1)
+    assert len(g.vertices) == 2047
+    r = matching_number(g, cap_nodes=2000)
+    assert not r.exact and r.lower_bound == r.value >= 1
+
+
+@st.composite
+def hypergraphs(draw):
+    """1-10 vertices and 1-14 edges, some of them empty, disjoint or
+    listed twice."""
+    n = draw(st.integers(1, 10))
+    subset = st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda bits: frozenset(v for v, b in enumerate(bits) if b))
+    small = st.frozensets(st.integers(0, n - 1), max_size=3)
+    pool = draw(st.lists(subset | small, min_size=1, max_size=14))
+    edges = pool + draw(st.lists(st.sampled_from(pool),
+                                 max_size=14 - len(pool)))
+    return TriggerHypergraph(vertices=tuple(range(n)), edges=tuple(edges),
+                             k=1)
+
+
+def _outcome(search, g, cap):
+    try:
+        return search(g, cap_nodes=cap)
+    except ParseError as e:
+        return "ParseError: %s" % e
+
+
+def _graph(n, *edges):
+    return TriggerHypergraph(vertices=tuple(range(n)),
+                             edges=tuple(frozenset(e) for e in edges), k=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraphs())
+@example(_graph(1, [0]))
+@example(_graph(4, [0], [1], [2], [3]))
+@example(_graph(6, [0, 1], [2, 3], [4, 5], [0, 1], [1, 2, 4]))
+@example(_graph(10, *([0, i] for i in range(1, 10))))
+@example(_graph(3, [0, 1], [], [2]))
+@example(_graph(7, [0], [0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5, 6],
+                [0, 1, 2, 4], [1, 3, 4, 5, 6], [1, 3, 5, 6], [2, 4, 6],
+                [0, 1, 2, 3, 4, 5], [2, 5, 6], [0, 1, 2, 3, 4, 5, 6]))
+def test_searches_match_the_recursive_references(g):
+    for cap in (1, 2, 3, 7, 50, 2 ** 20):
+        assert (_outcome(transversal_number, g, cap)
+                == _outcome(oracles.transversal_number_recursive, g, cap))
+        assert (_outcome(matching_number, g, cap)
+                == _outcome(oracles.matching_number_recursive, g, cap))
 
 
 def test_tau_at_least_nu():
