@@ -24,8 +24,6 @@ from .trigger import (hypergraph_to_json, matching_number,
                       extremal_sperner_bound)
 from .trees import doped_clause_of_leafset
 
-DEFAULT_SEED = 20240901
-
 
 def build_extremal_doped(k, h):
     """Doped tree clause-set at hardness level k+1 and height h."""
@@ -125,7 +123,7 @@ def _clauses_json(f):
 
 
 def cmd_generate(args, cfg):
-    family = args.family or cfg.get("family")
+    family = args.family
     meta = {"family": family}
     if family == "extremal_doped":
         t, d = build_extremal_doped(args.k, args.h)
@@ -260,7 +258,7 @@ def cmd_kbase(args, cfg):
     _emit(args, text)
     meta = {
         "level": base.level,
-        "minimal": base.minimal,
+        "minimal": True,
         "added": _clauses_json(frozenset(base.added)),
         "removed": _clauses_json(frozenset(base.removed)),
         "size": len(base.clauses),
@@ -460,10 +458,6 @@ def build_parser():
             sp.add_argument("input", nargs="?", default="-",
                             help="DIMACS file or - for stdin")
         sp.add_argument("--out")
-        sp.add_argument("--cap-vars", dest="cap_vars", type=int)
-        sp.add_argument("--cap-primes", dest="cap_primes", type=int)
-        sp.add_argument("--format", choices=["csv", "json", "table"])
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sp = sub.add_parser("generate")
     sp.add_argument("--family", required=True,
@@ -477,10 +471,12 @@ def build_parser():
 
     sp = sub.add_parser("measure")
     sp.add_argument("--measures")
+    sp.add_argument("--cap-vars", dest="cap_vars", type=int)
     common(sp)
     sp.set_defaults(func=cmd_measure)
 
     sp = sub.add_parser("primes")
+    sp.add_argument("--cap-vars", dest="cap_vars", type=int)
     common(sp)
     sp.set_defaults(func=cmd_primes)
 
@@ -517,11 +513,12 @@ def build_parser():
     sp = sub.add_parser("separation")
     sp.add_argument("--k-range", dest="k_range", required=True)
     sp.add_argument("--h-range", dest="h_range", required=True)
+    sp.add_argument("--cap-primes", dest="cap_primes", type=int)
+    sp.add_argument("--format", choices=["csv", "json", "table"])
     common(sp, with_input=False)
     sp.set_defaults(func=cmd_separation)
 
     sp = sub.add_parser("selftest")
-    common(sp, with_input=False)
     sp.set_defaults(func=cmd_selftest)
     return p
 

@@ -10,21 +10,59 @@ from .errors import CapExceededError, IntegrityError, ParseError
 from .hardness import hd_at_most, k_res_refutes
 from .mpsdope import pure_clause
 from .primes import essential_primes, implies
-from .propagation import sat_oracle
 
 
 @dataclass(frozen=True)
 class KBase:
     clauses: frozenset
     level: int
-    minimal: bool
     added: tuple = ()
     removed: tuple = ()
     anomaly: bool = False
 
 
-def _equivalent_subset(sub, primes):
+def equivalent_subset(sub, primes):
+    """Does the subset `sub` of the prime implicates entail all of them?"""
     return all(implies(sub, c) for c in primes - sub)
+
+
+def greedy_base(order, ess, good):
+    """(base, added, removed): from the essential primes `ess`, add primes
+    in `order` until `good` holds, then remove non-essential primes by
+    descending size, sweeping to a fixpoint.  Essential primes are never
+    tried: no subset without one is equivalent to the primes."""
+    current = frozenset(ess)
+    added = []
+    for c in order:
+        if good(current):
+            break
+        if c not in current:
+            current |= {c}
+            added.append(c)
+    removed = []
+    changed = True
+    while changed:
+        changed = False
+        for c in sorted(current - ess, key=lambda c: (-len(c), clause_key(c))):
+            trial = current - {c}
+            if good(trial):
+                current = trial
+                removed.append(c)
+                changed = True
+    return current, added, removed
+
+
+def smallest_base(order, ess, good, start):
+    """First subset of the primes in `order` that holds the essential
+    primes `ess` and satisfies `good`, scanning sizes upward from
+    `start` (at least len(ess)) and each size in combination order."""
+    others = [c for c in order if c not in ess]
+    for size in range(start, len(order) + 1):
+        for combo in itertools.combinations(others, size - len(ess)):
+            sub = ess | frozenset(combo)
+            if good(sub):
+                return sub
+    raise IntegrityError("full prime set rejected; search is broken")
 
 
 def k_base(primes, k, mode="heuristic", cap_primes=18):
@@ -41,50 +79,27 @@ def k_base(primes, k, mode="heuristic", cap_primes=18):
     ess = essential_primes(primes, primes=primes)
 
     def good(sub):
-        return (_equivalent_subset(sub, primes)
+        return (equivalent_subset(sub, primes)
                 and hd_at_most(sub, k, primes))
 
     if mode == "exhaustive":
         # every equivalent subset contains all essential primes, so a
         # good essential core is already the unique minimum
         if good(ess):
-            return KBase(clauses=ess, level=k, minimal=True)
+            return KBase(clauses=ess, level=k)
         if len(order) > cap_primes:
             raise CapExceededError(
                 "exhaustive base search capped at %d primes" % cap_primes)
-        others = [c for c in order if c not in ess]
-        for size in range(len(ess), len(order) + 1):
-            for combo in itertools.combinations(others, size - len(ess)):
-                sub = ess | frozenset(combo)
-                if good(sub):
-                    return KBase(clauses=sub, level=k, minimal=True)
-        raise AssertionError("full prime set rejected; search is broken")
+        return KBase(clauses=smallest_base(order, ess, good, len(ess) + 1),
+                     level=k)
 
-    current = set(ess)
-    added = []
     # an equivalent-but-too-hard essential core would be noteworthy; the
     # flag records whether additions started from an equivalent set
-    anomaly = (_equivalent_subset(frozenset(current), primes)
-               and not hd_at_most(frozenset(current), k, primes))
-    for c in order:
-        if good(frozenset(current)):
-            break
-        if c not in current:
-            current.add(c)
-            added.append(c)
-    removed = []
-    changed = True
-    while changed:
-        changed = False
-        for c in sorted(current, key=lambda c: (-len(c), clause_key(c))):
-            trial = frozenset(current - {c})
-            if good(trial):
-                current = set(trial)
-                removed.append(c)
-                changed = True
-    return KBase(clauses=frozenset(current), level=k, minimal=True,
-                 added=tuple(added), removed=tuple(removed),
-                 anomaly=anomaly)
+    anomaly = (equivalent_subset(ess, primes)
+               and not hd_at_most(ess, k, primes))
+    base, added, removed = greedy_base(order, ess, good)
+    return KBase(clauses=base, level=k, added=tuple(added),
+                 removed=tuple(removed), anomaly=anomaly)
 
 
 def canon_primes(f, big_k, cap_subsets=2 ** 22):
@@ -194,12 +209,3 @@ def _models_below(vs, i, phi, g, k, cap_models, out):
             "level-%d resolution missed an unsatisfiable branch" % k,
             witness=dict(phi))
     return True
-
-
-def check_query_against_oracle(kind, f, k, cap_vars=16, **extra):
-    """Semantic recomputation of a query answer (test support)."""
-    if kind == "CO":
-        return sat_oracle(f, cap_vars=cap_vars)[0]
-    if kind == "CE":
-        return implies(f, extra["clause"], cap_vars=cap_vars)
-    raise ParseError("no oracle for %r" % kind)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .core import (BOT, apply_assignment, clause_falsifier, resolve,
                    sorted_clauses, variables)
-from .errors import CapExceededError
+from .errors import CapExceededError, IntegrityError
 from .primes import prime_implicates
 from .propagation import propagate, propagate_full, sat_oracle
 
@@ -102,7 +102,20 @@ def _min_refute_level(f, cache):
     for k in range(bound + 1):
         if propagate(f, k, cache=cache).refuted:
             return k
-    raise AssertionError("unsatisfiable input not refuted at saturation")
+    raise IntegrityError("unsatisfiable input not refuted at saturation")
+
+
+def _worst_falsifier(f, sat, primes, measure):
+    """(value, critical prime) of `measure`, defined on unsatisfiable
+    clause-sets: for unsatisfiable f, its own measure and no prime; else
+    the worst case over the falsifiers of the primes (computed when None),
+    with the first critical prime in canonical order."""
+    if not sat:
+        return measure(f), None
+    if primes is None:
+        primes = prime_implicates(f)
+    return max(((measure(apply_assignment(clause_falsifier(c), f)), c)
+                for c in sorted_clauses(primes)), key=lambda vc: vc[0])
 
 
 def hd(f, cap_vars=24, primes=None):
@@ -115,14 +128,9 @@ def hd(f, cap_vars=24, primes=None):
     if not f:
         return 0
     cache = {}
-    ok, _ = sat_oracle(f, cap_vars=cap_vars)
-    if not ok:
-        return _min_refute_level(f, cache)
-    if primes is None:
-        primes = prime_implicates(f)
-    return max(
-        _min_refute_level(apply_assignment(clause_falsifier(c), f), cache)
-        for c in primes)
+    sat, _ = sat_oracle(f, cap_vars=cap_vars)
+    return _worst_falsifier(f, sat, primes,
+                            lambda g: _min_refute_level(g, cache))[0]
 
 
 def hd_at_most(f, k, primes, cache=None):
@@ -139,21 +147,14 @@ def whd(f, cap_vars=24, primes=None):
     """Asymmetric width: one resolution parent bounded per step."""
     if not f:
         return 0
-    ok, _ = sat_oracle(f, cap_vars=cap_vars)
-    if not ok:
-        return _whd_unsat(f)
-    if primes is None:
-        primes = prime_implicates(f)
-    return max(
-        _whd_unsat(apply_assignment(clause_falsifier(c), f))
-        for c in primes)
+    sat, _ = sat_oracle(f, cap_vars=cap_vars)
+    return _worst_falsifier(f, sat, primes, _whd_unsat)[0]
 
 
 def _whd_unsat(f):
     for k in itertools.count():
         if k_res_refutes(f, k)[0]:
             return k
-    raise AssertionError
 
 
 def whd_at_most(f, k, primes):
@@ -166,21 +167,14 @@ def wid(f, cap_vars=24, primes=None):
     """Symmetric width: every clause of the refutation bounded."""
     if not f:
         return 0
-    ok, _ = sat_oracle(f, cap_vars=cap_vars)
-    if not ok:
-        return _wid_unsat(f)
-    if primes is None:
-        primes = prime_implicates(f)
-    return max(
-        _wid_unsat(apply_assignment(clause_falsifier(c), f))
-        for c in primes)
+    sat, _ = sat_oracle(f, cap_vars=cap_vars)
+    return _worst_falsifier(f, sat, primes, _wid_unsat)[0]
 
 
 def _wid_unsat(f):
     for w in itertools.count():
         if width_refutes(f, w):
             return w
-    raise AssertionError
 
 
 def phd(f, cap_vars=12):
@@ -216,25 +210,15 @@ def hardness_report(f, cap_vars=12):
     witnesses = {}
     if not f:
         return HardnessReport(0, 0, 0, 0, witnesses)
-    ok, _ = sat_oracle(f, cap_vars=24)
-    primes = None if not ok else prime_implicates(f)
+    sat, _ = sat_oracle(f, cap_vars=24)
+    primes = prime_implicates(f) if sat else None
     cache = {}
-
-    def lift(single):
-        if not ok:
-            return single(f), None
-        best, crit = -1, None
-        for c in sorted_clauses(primes):
-            v = single(apply_assignment(clause_falsifier(c), f))
-            if v > best:
-                best, crit = v, c
-        return best, crit
-
-    v, crit = lift(lambda g: _min_refute_level(g, cache))
+    v, crit = _worst_falsifier(f, sat, primes,
+                               lambda g: _min_refute_level(g, cache))
     witnesses["hd"] = {"critical_prime": crit, "level": v}
-    v_whd, crit_whd = lift(_whd_unsat)
+    v_whd, crit_whd = _worst_falsifier(f, sat, primes, _whd_unsat)
     witnesses["whd"] = {"critical_prime": crit_whd, "level": v_whd}
-    v_wid, crit_wid = lift(_wid_unsat)
+    v_wid, crit_wid = _worst_falsifier(f, sat, primes, _wid_unsat)
     witnesses["wid"] = {"critical_prime": crit_wid, "level": v_wid}
     v_phd, phi = _phd_with_witness(f, cap_vars=cap_vars)
     witnesses["phd"] = {"assignment": phi, "level": v_phd}

@@ -1,6 +1,5 @@
 """Prime implicates and implicants, entailment, equivalence."""
 
-import itertools
 from dataclasses import dataclass
 
 from .core import (BOT, TOP, apply_assignment, clause_falsifier, clause_key,
@@ -87,28 +86,6 @@ def prime_implicates(f, cap_clauses=100000):
     return frozenset(
         frozenset(x for j, x in enumerate(lits) if m >> j & 1)
         for m in members(alive))
-
-
-def prime_implicates_bruteforce(f, cap_vars=12):
-    """Independent oracle: enumerate candidate clauses by ascending size.
-
-    Every implied clause with no implied strict subclause is prime.  Kept
-    deliberately naive (3^n candidates) for cross-checking the closure.
-    """
-    vs = sorted(variables(f))
-    if len(vs) > cap_vars:
-        raise CapExceededError(
-            "brute-force prime enumeration capped at %d variables" % cap_vars)
-    primes = []
-    for size in range(0, len(vs) + 1):
-        for chosen in itertools.combinations(vs, size):
-            for signs in itertools.product((1, -1), repeat=size):
-                c = frozenset(v * s for v, s in zip(chosen, signs))
-                if any(p <= c for p in primes):
-                    continue
-                if implies(f, c):
-                    primes.append(c)
-    return frozenset(primes)
 
 
 def prime_implicants(f, cap_count=100000):

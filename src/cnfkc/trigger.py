@@ -13,10 +13,11 @@ import json
 from dataclasses import dataclass
 from math import comb
 
+from .compile import equivalent_subset, greedy_base, smallest_base
 from .core import sorted_clauses, clause_key
-from .errors import CapExceededError, ParseError
+from .errors import CapExceededError, IntegrityError, ParseError
 from .hardness import whd_at_most
-from .primes import essential_primes, implies, prime_implicates
+from .primes import essential_primes, prime_implicates
 from .trees import depth_subtrees, is_leaf, leaf_paths, tree_stats
 
 
@@ -237,7 +238,8 @@ def min_equivalent_size(f, k, mode="exhaustive", cap_primes=18,
     Exhaustive mode scans subsets by ascending size, forced to contain
     the essential primes and to hit every trigger edge.  Heuristic mode
     greedily adds primes by ascending size, then removes by descending
-    size, and reports the result as an upper bound only.
+    size to a fixpoint (`compile.greedy_base`, as `k_base` does), and
+    reports the result as an upper bound only.
 
     `primes`, `essential`, `hypergraph` (level k) and `tau` (its
     `transversal_number` under `cap_nodes`), when given, must be what
@@ -253,57 +255,32 @@ def min_equivalent_size(f, k, mode="exhaustive", cap_primes=18,
     if tau is None:
         tau = transversal_number(hypergraph, cap_nodes=cap_nodes)
     floor = max(tau.lower_bound, len(essential))
+
+    def good(sub):
+        return (equivalent_subset(sub, primes)
+                and whd_at_most(sub, k, primes))
+
     if mode == "heuristic":
-        rep = _heuristic_base(vs, essential, k, primes)
+        rep = greedy_base(vs, essential, good)[0]
         return MinEquivResult(size=len(rep), representative=rep,
                               exact=False, lower_bound=floor)
     if floor >= len(vs) and tau.exact:
         # the transversal bound already forces the whole prime set
         full = frozenset(vs)
         if not whd_at_most(full, k, primes):
-            raise AssertionError("prime set itself exceeds width %d" % k)
+            raise IntegrityError("prime set itself exceeds width %d" % k)
         return MinEquivResult(size=len(vs), representative=full,
                               exact=True, lower_bound=len(vs))
     if len(vs) > cap_primes:
         raise CapExceededError(
             "exhaustive search capped at %d primes, got %d"
             % (cap_primes, len(vs)))
-    others = [c for c in vs if c not in essential]
-    edge_list = _dedupe_edges(hypergraph)
-    index_of = {c: i for i, c in enumerate(vs)}
-    ess_idx = {index_of[c] for c in essential}
-    for size in range(floor, len(vs) + 1):
-        for combo in itertools.combinations(others, size - len(essential)):
-            sub = essential | frozenset(combo)
-            idxs = ess_idx | {index_of[c] for c in combo}
-            if any(not (e & idxs) for e in edge_list):
-                continue
-            if not all(implies(sub, c) for c in primes - sub):
-                continue
-            if whd_at_most(sub, k, primes):
-                return MinEquivResult(size=size, representative=sub,
-                                      exact=True, lower_bound=size)
-    raise AssertionError("full prime set rejected; search is broken")
-
-
-def _heuristic_base(vs, ess, k, primes):
-    current = set(ess)
-
-    def good(s):
-        fs = frozenset(s)
-        return (all(implies(fs, c) for c in primes - fs)
-                and whd_at_most(fs, k, primes))
-
-    for c in vs:
-        if good(current):
-            break
-        if c not in current:
-            current.add(c)
-    for c in sorted(current, key=lambda c: (-len(c), clause_key(c))):
-        trial = current - {c}
-        if c not in ess and good(trial):
-            current = trial
-    return frozenset(current)
+    edges = [frozenset(vs[i] for i in e) for e in _dedupe_edges(hypergraph)]
+    rep = smallest_base(vs, essential,
+                        lambda sub: all(e & sub for e in edges) and good(sub),
+                        floor)
+    return MinEquivResult(size=len(rep), representative=rep, exact=True,
+                          lower_bound=len(rep))
 
 
 def extremal_sperner_bound(t, k):

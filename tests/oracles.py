@@ -9,8 +9,9 @@ import itertools
 
 from cnfkc.core import (BOT, apply_assignment, clause, resolvable, resolve,
                         sorted_clauses, subsumption_eliminate, variables)
-from cnfkc.errors import ParseError
-from cnfkc.propagation import propagate, unit_propagate
+from cnfkc.errors import CapExceededError, ParseError
+from cnfkc.primes import implies
+from cnfkc.propagation import propagate, sat_oracle, unit_propagate
 from cnfkc.trees import LEAF, Inner
 from cnfkc.trigger import SearchResult
 
@@ -65,6 +66,37 @@ def prime_implicates_allpairs(f):
         if not fresh:
             return current
         current = subsumption_eliminate(current | fresh)
+
+
+def prime_implicates_bruteforce(f, cap_vars=12):
+    """Independent oracle: enumerate candidate clauses by ascending size.
+
+    Every implied clause with no implied strict subclause is prime.  Kept
+    deliberately naive (3^n candidates) for cross-checking the closure.
+    """
+    vs = sorted(variables(f))
+    if len(vs) > cap_vars:
+        raise CapExceededError(
+            "brute-force prime enumeration capped at %d variables" % cap_vars)
+    primes = []
+    for size in range(0, len(vs) + 1):
+        for chosen in itertools.combinations(vs, size):
+            for signs in itertools.product((1, -1), repeat=size):
+                c = frozenset(v * s for v, s in zip(chosen, signs))
+                if any(p <= c for p in primes):
+                    continue
+                if implies(f, c):
+                    primes.append(c)
+    return frozenset(primes)
+
+
+def check_query_against_oracle(kind, f, k, cap_vars=16, **extra):
+    """Semantic recomputation of a query answer."""
+    if kind == "CO":
+        return sat_oracle(f, cap_vars=cap_vars)[0]
+    if kind == "CE":
+        return implies(f, extra["clause"], cap_vars=cap_vars)
+    raise ParseError("no oracle for %r" % kind)
 
 
 class _NodeBudget:

@@ -16,8 +16,7 @@ from cnfkc.core import (BOT, TOP, apply_assignment, clause, measures,
                         variables)
 from cnfkc.hardness import hd, k_res_refutes, whd, wid
 from cnfkc.mpsdope import (dope, mps_enumerate, mps_via_doping, pure_clause)
-from cnfkc.primes import (equivalent, prime_implicates,
-                          prime_implicates_bruteforce)
+from cnfkc.primes import equivalent, prime_implicates
 from cnfkc.propagation import sat_oracle
 from cnfkc.trees import (LEAF, Inner, apply_literal_to_tree, clauses_to_tree,
                          doped_clause_of_leafset, extremal_tree, leaf_paths,
@@ -267,7 +266,7 @@ def test_criterion_9_oracle_equivalences():
         f = oracles.random_clause_set(rng, max_n=5, max_c=6)
         if hd(f) != oracles.hd_by_definition(f):
             failures.append("hardness oracle mismatch on instance %d" % i)
-        if prime_implicates(f) != prime_implicates_bruteforce(f):
+        if prime_implicates(f) != oracles.prime_implicates_bruteforce(f):
             failures.append("prime oracle mismatch on instance %d" % i)
         if canon_primes(f, len(f)) != prime_implicates(f):
             failures.append("subset collapse mismatch on instance %d" % i)

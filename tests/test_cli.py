@@ -260,6 +260,21 @@ def test_config_flags_override(tmp_path, capsys):
     assert code == 0 and json.loads(out)["hd"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("kbase", "--k", "1", "--cap-vars", "5"),
+    ("measure", "--seed", "1"),
+    ("measure", "--format", "json"),
+    ("primes", "--cap-primes", "3"),
+    ("selftest", "--out", "x"),
+])
+def test_flags_outside_their_commands_are_parse_errors(argv, capsys):
+    # each subcommand takes only the flags and caps it reads
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0

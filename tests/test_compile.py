@@ -1,16 +1,18 @@
 import random
 
-from cnfkc.compile import (answer_query, canon_primes,
-                           check_query_against_oracle, enumerate_models,
-                           k_base)
-from cnfkc.core import TOP, clause, variables
+from cnfkc.compile import (answer_query, canon_primes, enumerate_models,
+                           equivalent_subset, greedy_base, k_base,
+                           smallest_base)
+from cnfkc.core import TOP, clause, sorted_clauses, variables
 from cnfkc.errors import CapExceededError, IntegrityError, ParseError
 from cnfkc.hardness import hd, whd
 from cnfkc.mpsdope import dope
-from cnfkc.primes import equivalent, implies, prime_implicates
+from cnfkc.primes import (equivalent, essential_primes, implies,
+                          prime_implicates)
 from cnfkc.trees import extremal_tree, tree_to_clauses
 
 import oracles
+from oracles import check_query_against_oracle
 import pytest
 
 
@@ -25,7 +27,7 @@ def test_k_base_horn_chain_is_itself():
         primes = prime_implicates(f)
         base = k_base(primes, 1)
         assert base.clauses == f
-        assert base.minimal and not base.anomaly
+        assert not base.anomaly
         exact = k_base(primes, 1, mode="exhaustive")
         assert exact.clauses == f
 
@@ -82,6 +84,31 @@ def test_k_base_cap():
     primes = prime_implicates(d.doped)
     with pytest.raises(CapExceededError):
         k_base(primes, 1, mode="exhaustive", cap_primes=18)
+
+
+def test_smallest_base_rejecting_everything_is_an_integrity_error():
+    primes = prime_implicates(cs([1, 2], [-1, 2], [3, 4]))
+    with pytest.raises(IntegrityError):
+        smallest_base(sorted_clauses(primes), frozenset(),
+                      lambda sub: False, 0)
+
+
+def test_greedy_base_never_tries_without_an_essential_prime():
+    rng = random.Random(86)
+    for _ in range(15):
+        f = oracles.random_clause_set(rng, max_n=4, max_c=5)
+        primes = prime_implicates(f)
+        ess = essential_primes(primes, primes=primes)
+        tried = []
+
+        def good(sub):
+            tried.append(sub)
+            return equivalent_subset(sub, primes)
+
+        base, added, removed = greedy_base(sorted_clauses(primes), ess, good)
+        assert all(ess <= sub for sub in tried)
+        assert equivalent(base, f) and ess <= base
+        assert base == (ess | frozenset(added)) - frozenset(removed)
 
 
 def test_canon_primes_full_budget_equals_primes():

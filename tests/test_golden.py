@@ -3,11 +3,25 @@
 `golden/separation.csv` is the `separation` CSV of rows (0,2..6), (1,2..3)
 and (2,3), with the header once.  Row (1,3) hits the matching search's
 node cap (`nu_k=10,nu_exact=False`), so it pins the search's node order.
+
+`golden/<input>.txt` holds, for one input of a small corpus, the stdout of
+`kbase` (DIMACS plus sidecar), `measure`, `primes` (DIMACS plus sidecar)
+and `trigger`, and `report_to_json(hardness_report(f))`, which pins the
+critical primes.  Each section starts with a `$ ` line naming what made
+it.  The doped tree at (k=2, h=3) has 15 variables, too many for the
+p-hardness enumeration of the report, and its `kbase --k 0/1` and
+`trigger --k 1` take seconds to tens of seconds, so it pins only
+`kbase --k 2`, `measure` and `primes`.
 """
 
 import os
+import random
 
-from cnfkc.cli import main
+from cnfkc.cli import build_extremal_doped, build_horn_chain, main
+from cnfkc.core import clause, emit_dimacs
+from cnfkc.hardness import hardness_report, report_to_json
+
+import pytest
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -23,3 +37,54 @@ def test_separation_golden_rows(capsys):
         lines += out
     with open(os.path.join(GOLDEN, "separation.csv"), newline="") as fh:
         assert "".join(lines) == fh.read()
+
+
+def random_cnf(seed, n, m):
+    """m distinct clauses of 2 or 3 literals over variables 1..n."""
+    rng = random.Random(seed)
+    out = set()
+    while len(out) < m:
+        vs = rng.sample(range(1, n + 1), rng.randint(2, 3))
+        out.add(clause(v * rng.choice((1, -1)) for v in vs))
+    return frozenset(out)
+
+
+COMMANDS = (("kbase", "--k", "0"), ("kbase", "--k", "1"),
+            ("kbase", "--k", "2"),
+            ("measure", "--measures", "hd,whd,wid,primes"),
+            ("primes",), ("trigger", "--k", "1"))
+
+# input name -> (clause-set, commands, whether the report is pinned)
+CORPUS = {
+    "horn-h2": (build_horn_chain(2).doped, COMMANDS, True),
+    "horn-h3": (build_horn_chain(3).doped, COMMANDS, True),
+    "horn-h4": (build_horn_chain(4).doped, COMMANDS, True),
+    "doped-k0-h2": (build_extremal_doped(0, 2)[1].doped, COMMANDS, True),
+    "doped-k1-h2": (build_extremal_doped(1, 2)[1].doped, COMMANDS, True),
+    "doped-k2-h3": (build_extremal_doped(2, 3)[1].doped,
+                    (COMMANDS[2], COMMANDS[3], COMMANDS[4]), False),
+    "random-s1-n6": (random_cnf(1, 6, 8), COMMANDS, True),
+    "random-s3-n7": (random_cnf(3, 7, 10), COMMANDS, True),
+}
+
+
+def render(name, tmp_path, capsys):
+    """The golden text of one corpus input under the current code."""
+    f, commands, with_report = CORPUS[name]
+    path = tmp_path / (name + ".cnf")
+    path.write_text(emit_dimacs(f))
+    parts = []
+    for argv in commands:
+        assert main([argv[0], str(path)] + list(argv[1:])) == 0
+        parts.append("$ cnfkc %s\n" % " ".join(argv))
+        parts.append(capsys.readouterr().out)
+    if with_report:
+        parts.append("$ report_to_json(hardness_report(f))\n")
+        parts.append(report_to_json(hardness_report(f)) + "\n")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_command_goldens(name, tmp_path, capsys):
+    with open(os.path.join(GOLDEN, name + ".txt"), newline="") as fh:
+        assert render(name, tmp_path, capsys) == fh.read()

@@ -5,10 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from cnfkc.core import BOT, TOP, clause, subsumption_eliminate
 from cnfkc.primes import (equivalent, essential_primes, implies,
-                          prime_implicants, prime_implicates,
-                          prime_implicates_bruteforce)
+                          prime_implicants, prime_implicates)
 
 import oracles
+from oracles import prime_implicates_bruteforce
 
 
 def cs(*clauses):

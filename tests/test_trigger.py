@@ -280,6 +280,19 @@ def test_min_equivalent_heuristic_is_upper_bound():
     assert loose.size >= exact.size
     assert equivalent(loose.representative, d.doped)
     assert whd(loose.representative) <= 1
+    # the greedy sweep runs to a fixpoint: no single removal keeps both
+    # equivalence and asymmetric width <= k
+    cases = [(d.doped, 1)]
+    rng = random.Random(87)
+    for _ in range(12):
+        f = oracles.random_clause_set(rng, max_n=4, max_c=5)
+        cases += [(f, 1), (f, 2)]
+    for f, k in cases:
+        rep = min_equivalent_size(f, k, mode="heuristic").representative
+        assert equivalent(rep, f) and whd(rep) <= k
+        for c in rep:
+            trial = rep - {c}
+            assert not equivalent(trial, f) or whd(trial) > k
 
 
 def test_min_equivalent_cap():
