@@ -16,6 +16,7 @@ from .errors import CapExceededError, CnfError, IntegrityError, ParseError
 from .hardness import hd, phd, whd, wid
 from .mpsdope import dope, mps_enumerate, mps_via_doping
 from .primes import prime_implicates, prime_report
+from .propagation import sat_oracle
 from .trees import (extremal_tree, leaf_paths, tree_stats, tree_to_clauses,
                     tree_to_term)
 from .trigger import (hypergraph_to_json, matching_number,
@@ -160,23 +161,26 @@ def cmd_measure(args, cfg):
               else ["n", "c", "ell", "deficiency", "hd", "whd", "wid",
                     "phd", "primes", "mps"])
     cap_vars = _setting(args, cfg, "cap_vars", 24)
+    # one closure for hd, whd, wid and primes, computed on first use;
+    # hd, whd and wid read it only when f is satisfiable
+    closure = functools.cache(lambda: prime_implicates(f))
+    satisfiable = functools.cache(lambda: sat_oracle(f, cap_vars)[0])
     report = {}
     m = measures(f)
     base = {"n": m.n, "c": m.c, "ell": m.ell, "deficiency": m.deficiency}
+    worst_case = {"hd": hd, "whd": whd, "wid": wid}
     for name in wanted:
         try:
             if name in base:
                 report[name] = base[name]
-            elif name == "hd":
-                report[name] = hd(f, cap_vars=cap_vars)
-            elif name == "whd":
-                report[name] = whd(f, cap_vars=cap_vars)
-            elif name == "wid":
-                report[name] = wid(f, cap_vars=cap_vars)
+            elif name in worst_case:
+                report[name] = worst_case[name](
+                    f, cap_vars=cap_vars,
+                    primes=closure() if satisfiable() else None)
             elif name == "phd":
                 report[name] = phd(f, cap_vars=min(cap_vars, 12))
             elif name == "primes":
-                report[name] = len(prime_implicates(f))
+                report[name] = len(closure())
             elif name == "mps":
                 report[name] = len(mps_enumerate(f).members)
             else:
@@ -531,6 +535,9 @@ def main(argv=None):
         return args.func(args, cfg)
     except CnfError as e:
         sys.stderr.write("error: %s\n" % e)
+        if getattr(e, "witness", None) is not None:
+            sys.stderr.write("witness: %s\n" % json.dumps(
+                e.witness, sort_keys=True, default=sorted))
         return e.exit_code
     except OSError as e:
         sys.stderr.write("io error: %s\n" % e)

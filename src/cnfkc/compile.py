@@ -4,12 +4,13 @@ knowledge-compilation query suite."""
 import itertools
 from dataclasses import dataclass
 
-from .core import (TOP, apply_assignment, clause_falsifier, clause_key,
-                   sorted_clauses, subsumption_eliminate, variables)
+from .core import (TOP, apply_assignment, clause_key, falsify, flip,
+                   instantiate, literal_bit, pack, pack_set, sorted_clauses,
+                   subsumption_eliminate, variables)
 from .errors import CapExceededError, IntegrityError, ParseError
-from .hardness import hd_at_most, k_res_refutes
+from .hardness import hd_at_most, k_res_packed
 from .mpsdope import pure_clause
-from .primes import essential_primes, implies
+from .primes import entails, essential_primes, implies
 
 
 @dataclass(frozen=True)
@@ -23,18 +24,23 @@ class KBase:
 
 def equivalent_subset(sub, primes):
     """Does the subset `sub` of the prime implicates entail all of them?"""
-    return all(implies(sub, c) for c in primes - sub)
+    g = pack_set(sub)
+    return all(entails(g, pack(c)) for c in primes - sub)
 
 
-def greedy_base(order, ess, good):
-    """(base, added, removed): from the essential primes `ess`, add primes
-    in `order` until `good` holds, then remove non-essential primes by
-    descending size, sweeping to a fixpoint.  Essential primes are never
-    tried: no subset without one is equivalent to the primes."""
+def greedy_base(order, ess, level):
+    """(base, added, removed) for the primes listed in `order`: from the
+    essential primes `ess`, add primes in `order` until the subset is
+    equivalent to all of them and `level` holds, then remove
+    non-essential primes by descending size while both still hold,
+    sweeping to a fixpoint.  Essential primes are never tried: no subset
+    without one is equivalent to the primes.  The sweep keeps `current`
+    equivalent, so `current - {c}` is equivalent iff it entails c."""
+    primes = frozenset(order)
     current = frozenset(ess)
     added = []
     for c in order:
-        if good(current):
+        if equivalent_subset(current, primes) and level(current):
             break
         if c not in current:
             current |= {c}
@@ -45,7 +51,7 @@ def greedy_base(order, ess, good):
         changed = False
         for c in sorted(current - ess, key=lambda c: (-len(c), clause_key(c))):
             trial = current - {c}
-            if good(trial):
+            if entails(pack_set(trial), pack(c)) and level(trial):
                 current = trial
                 removed.append(c)
                 changed = True
@@ -78,9 +84,11 @@ def k_base(primes, k, mode="heuristic", cap_primes=18):
     order = sorted_clauses(primes)
     ess = essential_primes(primes, primes=primes)
 
+    def level(sub):
+        return hd_at_most(sub, k, primes)
+
     def good(sub):
-        return (equivalent_subset(sub, primes)
-                and hd_at_most(sub, k, primes))
+        return equivalent_subset(sub, primes) and level(sub)
 
     if mode == "exhaustive":
         # every equivalent subset contains all essential primes, so a
@@ -97,7 +105,7 @@ def k_base(primes, k, mode="heuristic", cap_primes=18):
     # flag records whether additions started from an equivalent set
     anomaly = (equivalent_subset(ess, primes)
                and not hd_at_most(ess, k, primes))
-    base, added, removed = greedy_base(order, ess, good)
+    base, added, removed = greedy_base(order, ess, level)
     return KBase(clauses=base, level=k, added=tuple(added),
                  removed=tuple(removed), anomaly=anomaly)
 
@@ -138,12 +146,11 @@ def answer_query(kind, f, k, clause=None, assignment=None, other=None,
         if whd(f) > k:
             raise IntegrityError("input exceeds asymmetric width %d" % k)
     if kind == "CO":
-        return not k_res_refutes(f, k)[0]
+        return not k_res_packed(pack_set(f), k)[0]
     if kind == "CE":
         if clause is None:
             raise ParseError("CE needs a clause")
-        g = apply_assignment(clause_falsifier(clause), f)
-        return k_res_refutes(g, k)[0]
+        return k_res_packed(falsify(pack_set(f), pack(clause)), k)[0]
     if kind == "VA":
         return f == TOP
     if kind == "IM":
@@ -170,17 +177,18 @@ def enumerate_models(f, k, cap_models=2 ** 20):
     """All total models over var(f), found by a decision tree whose dead
     branches are cut by level-k refutation (never by full search)."""
     out = []
-    _models_below(sorted(variables(f)), 0, {}, f, k, cap_models, out)
+    _models_below(sorted(variables(f)), 0, {}, pack_set(f), k, cap_models,
+                  out)
     return out
 
 
 def _models_below(vs, i, phi, g, k, cap_models, out):
     """Append to `out` the models extending phi, which sets vs[:i] and
-    leaves g; False if level-k resolution refutes g.
+    leaves the packed clause-set g; False if level-k resolution refutes g.
 
     Not a closure: a recursive closure is a reference cycle, which would
     keep `out` alive until the cyclic garbage collector reaches it."""
-    if g == TOP:
+    if not g:
         rest = vs[i:]
         for bits in itertools.product((0, 1), repeat=len(rest)):
             model = dict(phi)
@@ -190,19 +198,21 @@ def _models_below(vs, i, phi, g, k, cap_models, out):
                 raise CapExceededError(
                     "model enumeration exceeded %d" % cap_models)
         return True
-    if k_res_refutes(g, k)[0]:
+    if k_res_packed(g, k)[0]:
         return False
     if i == len(vs):
-        raise AssertionError(
+        raise IntegrityError(
             "total assignment left a clause-set that is neither "
-            "satisfied nor refutable")
+            "satisfied nor refutable", witness=dict(phi))
     zero = dict(phi)
     zero[vs[i]] = 0
     one = dict(phi)
     one[vs[i]] = 1
-    left = _models_below(vs, i + 1, zero, apply_assignment({vs[i]: 0}, g),
+    b = literal_bit(vs[i])
+    nb = flip(b)
+    left = _models_below(vs, i + 1, zero, instantiate(g, nb, b),
                          k, cap_models, out)
-    right = _models_below(vs, i + 1, one, apply_assignment({vs[i]: 1}, g),
+    right = _models_below(vs, i + 1, one, instantiate(g, b, nb),
                           k, cap_models, out)
     if not (left or right):
         raise IntegrityError(

@@ -4,6 +4,14 @@ A literal is a nonzero int (sign = polarity), a clause is a frozenset of
 literals that is free of complementary pairs, and a clause-set is a
 frozenset of clauses.  TOP (the empty clause-set) is trivially satisfiable,
 BOT (the empty clause) is unsatisfiable.
+
+The engines run on packed clauses instead.  Literal v is bit 2(v-1) and
+-v is bit 2v-1, so ascending bit order is the canonical literal order
+(variable first, positive first).  A packed clause is the int with its
+literals' bits set, the empty clause is 0, and a packed clause-set is a
+frozenset of such ints.  The bits are absolute, not numbered per call, so
+equal packed sets always mean equal clause-sets.  A partial assignment is
+two masks, its true literals and its false literals.
 """
 
 from dataclasses import dataclass
@@ -104,6 +112,90 @@ def apply_assignment(phi, f):
         if not satisfied:
             out.add(frozenset(kept))
     return frozenset(out)
+
+
+def literal_bit(x):
+    """The single-bit mask of literal x."""
+    return 1 << (2 * x - 2) if x > 0 else 1 << (-2 * x - 1)
+
+
+def bit_literal(b):
+    """The literal of the single-bit mask b."""
+    i = b.bit_length() - 1
+    v = (i >> 1) + 1
+    return -v if i & 1 else v
+
+
+def _even_bits(m):
+    """The positive-literal bits up to the highest bit of m."""
+    return (4 ** ((m.bit_length() + 1) // 2) - 1) // 3
+
+
+def flip(m):
+    """Complement every literal of the packed clause m."""
+    even = _even_bits(m)
+    return (m & even) << 1 | (m >> 1) & even
+
+
+def bits(m):
+    """The single-bit masks of m in ascending order."""
+    while m:
+        low = m & -m
+        yield low
+        m ^= low
+
+
+def pack(c):
+    m = 0
+    for x in c:
+        m |= literal_bit(x)
+    return m
+
+
+def unpack(m):
+    return frozenset(bit_literal(b) for b in bits(m))
+
+
+def pack_set(f):
+    return frozenset(pack(c) for c in f)
+
+
+def unpack_set(g):
+    return frozenset(unpack(m) for m in g)
+
+
+def union(g):
+    """Every literal of the packed clause-set g, as one mask."""
+    u = 0
+    for m in g:
+        u |= m
+    return u
+
+
+def packed_variable_count(g):
+    u = union(g)
+    return ((u | u >> 1) & _even_bits(u)).bit_count()
+
+
+def instantiate(g, true, false):
+    """Packed apply_assignment: drop clauses holding a true literal and
+    strip the false literals from the rest."""
+    return frozenset(m & ~false for m in g if not m & true)
+
+
+def falsify(g, c):
+    """Instantiate g by the falsifier of the packed clause c."""
+    return instantiate(g, flip(c), c)
+
+
+def _mask_key(m):
+    """sorted_clauses' key of the packed clause m."""
+    return m.bit_count(), [bit_literal(b) for b in bits(m)]
+
+
+def sorted_masks(g):
+    """Packed clauses in sorted_clauses order."""
+    return sorted(g, key=_mask_key)
 
 
 class ResolutionError(ValueError):

@@ -5,11 +5,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (BOT, apply_assignment, clause_falsifier, resolve,
-                   sorted_clauses, variables)
+from .core import (falsify, flip, instantiate, literal_bit, pack, pack_set,
+                   packed_variable_count, sorted_clauses, sorted_masks,
+                   unpack, variables)
 from .errors import CapExceededError, IntegrityError
 from .primes import prime_implicates
-from .propagation import propagate, propagate_full, sat_oracle
+from .propagation import propagate_packed, sat_oracle
 
 
 def k_res_refutes(f, k, cap_clauses=200000, want_trace=False):
@@ -18,31 +19,43 @@ def k_res_refutes(f, k, cap_clauses=200000, want_trace=False):
     Returns (refuted, trace); the trace lists (clause, parent, parent)
     derivation steps ending in the empty clause when requested.
     """
-    seen = {}
-    order = []
-    for c in sorted_clauses(f):
-        if c not in seen:
-            seen[c] = None
-            order.append(c)
-    if BOT in seen:
+    refuted, trace = k_res_packed(pack_set(f), k, cap_clauses, want_trace)
+    if trace is not None:
+        trace = [tuple(map(unpack, step)) for step in trace]
+    return refuted, trace
+
+
+def k_res_packed(g, k, cap_clauses=200000, want_trace=False):
+    """`k_res_refutes` on the packed clause-set g, with a packed trace.
+
+    Clauses are taken in sorted_clauses order, each resolved against every
+    earlier one in order (only the clauses of size <= k when it is
+    larger), and resolvents join the end of the order.
+    """
+    order = sorted_masks(g)
+    seen = dict.fromkeys(order)
+    if 0 in seen:
         return True, ([] if want_trace else None)
+    small = []  # indices below i of clauses of size <= k
     i = 0
     while i < len(order):
         c = order[i]
-        for j in range(i):
+        neg = flip(c)
+        short = c.bit_count() <= k
+        for j in (range(i) if short else small):
             d = order[j]
-            if len(c) > k and len(d) > k:
+            clash = neg & d
+            if not clash or clash & (clash - 1):
                 continue
-            clash = [x for x in c if -x in d]
-            if len(clash) != 1:
-                continue
-            r = resolve(c, d)
+            r = (c | d) & ~(3 << ((clash.bit_length() - 1) & ~1))
             if r in seen:
                 continue
             seen[r] = (c, d)
             order.append(r)
-            if r == BOT:
+            if not r:
                 return True, (_trace(seen, r) if want_trace else None)
+        if short:
+            small.append(i)
         i += 1
         if len(order) > cap_clauses:
             raise CapExceededError(
@@ -69,25 +82,30 @@ def _trace(seen, goal):
 
 def width_refutes(f, w, cap_clauses=200000):
     """Resolution refutation where every clause (axioms too) has size <= w."""
-    start = [c for c in sorted_clauses(f) if len(c) <= w]
-    seen = set(start)
-    order = list(start)
-    if BOT in seen:
+    return width_packed(pack_set(f), w, cap_clauses)
+
+
+def width_packed(g, w, cap_clauses=200000):
+    """`width_refutes` on the packed clause-set g."""
+    order = [c for c in sorted_masks(g) if c.bit_count() <= w]
+    seen = set(order)
+    if 0 in seen:
         return True
     i = 0
     while i < len(order):
         c = order[i]
+        neg = flip(c)
         for j in range(i):
             d = order[j]
-            clash = [x for x in c if -x in d]
-            if len(clash) != 1:
+            clash = neg & d
+            if not clash or clash & (clash - 1):
                 continue
-            r = resolve(c, d)
-            if len(r) > w or r in seen:
+            r = (c | d) & ~(3 << ((clash.bit_length() - 1) & ~1))
+            if r.bit_count() > w or r in seen:
                 continue
             seen.add(r)
             order.append(r)
-            if r == BOT:
+            if not r:
                 return True
         i += 1
         if len(order) > cap_clauses:
@@ -96,25 +114,27 @@ def width_refutes(f, w, cap_clauses=200000):
     return False
 
 
-def _min_refute_level(f, cache):
-    """Smallest k with level-k propagation refuting the unsatisfiable f."""
-    bound = len(variables(f)) + 1
+def _min_refute_level(g, cache):
+    """Smallest k with level-k propagation refuting the unsatisfiable
+    packed g."""
+    bound = packed_variable_count(g) + 1
     for k in range(bound + 1):
-        if propagate(f, k, cache=cache).refuted:
+        if 0 in propagate_packed(g, k, cache)[0]:
             return k
     raise IntegrityError("unsatisfiable input not refuted at saturation")
 
 
 def _worst_falsifier(f, sat, primes, measure):
     """(value, critical prime) of `measure`, defined on unsatisfiable
-    clause-sets: for unsatisfiable f, its own measure and no prime; else
-    the worst case over the falsifiers of the primes (computed when None),
-    with the first critical prime in canonical order."""
+    packed clause-sets: for unsatisfiable f, its own measure and no prime;
+    else the worst case over the falsifiers of the primes (computed when
+    None), with the first critical prime in canonical order."""
+    g = pack_set(f)
     if not sat:
-        return measure(f), None
+        return measure(g), None
     if primes is None:
         primes = prime_implicates(f)
-    return max(((measure(apply_assignment(clause_falsifier(c), f)), c)
+    return max(((measure(falsify(g, pack(c))), c)
                 for c in sorted_clauses(primes)), key=lambda vc: vc[0])
 
 
@@ -137,10 +157,9 @@ def hd_at_most(f, k, primes, cache=None):
     """Fast check hd(f) <= k for satisfiable f with known prime implicates."""
     if cache is None:
         cache = {}
-    return all(
-        propagate(apply_assignment(clause_falsifier(c), f), k,
-                  cache=cache).refuted
-        for c in primes)
+    g = pack_set(f)
+    return all(0 in propagate_packed(falsify(g, pack(c)), k, cache)[0]
+               for c in primes)
 
 
 def whd(f, cap_vars=24, primes=None):
@@ -151,16 +170,15 @@ def whd(f, cap_vars=24, primes=None):
     return _worst_falsifier(f, sat, primes, _whd_unsat)[0]
 
 
-def _whd_unsat(f):
+def _whd_unsat(g):
     for k in itertools.count():
-        if k_res_refutes(f, k)[0]:
+        if k_res_packed(g, k)[0]:
             return k
 
 
 def whd_at_most(f, k, primes):
-    return all(
-        k_res_refutes(apply_assignment(clause_falsifier(c), f), k)[0]
-        for c in primes)
+    g = pack_set(f)
+    return all(k_res_packed(falsify(g, pack(c)), k)[0] for c in primes)
 
 
 def wid(f, cap_vars=24, primes=None):
@@ -171,9 +189,9 @@ def wid(f, cap_vars=24, primes=None):
     return _worst_falsifier(f, sat, primes, _wid_unsat)[0]
 
 
-def _wid_unsat(f):
+def _wid_unsat(g):
     for w in itertools.count():
-        if width_refutes(f, w):
+        if width_packed(g, w):
             return w
 
 
@@ -251,21 +269,29 @@ def _phd_with_witness(f, cap_vars=12):
     if len(vs) > cap_vars:
         raise CapExceededError(
             "p-hardness enumeration capped at %d variables" % cap_vars)
+    packed = pack_set(f)
+    # per variable: (value, true literal, false literal) of unset, 0, 1
+    choices = [((None, 0, 0), (0, literal_bit(-v), literal_bit(v)),
+                (1, literal_bit(v), literal_bit(-v))) for v in vs]
     cache = {}
     seen = set()
     best = 0
     witness = {}
-    for values in itertools.product((None, 0, 1), repeat=len(vs)):
-        phi = {v: b for v, b in zip(vs, values) if b is not None}
-        g = apply_assignment(phi, f)
+    for values in itertools.product(*choices):
+        true = false = 0
+        for _, t, u in values:
+            true |= t
+            false |= u
+        g = instantiate(packed, true, false)
         if g in seen:
             continue
         seen.add(g)
-        target = propagate_full(g, cache=cache).reduced
+        target = propagate_packed(g, packed_variable_count(g), cache)[0]
         k = 0
-        while propagate(g, k, cache=cache).reduced != target:
+        while propagate_packed(g, k, cache)[0] != target:
             k += 1
         if k > best:
             best = k
-            witness = phi
+            witness = {v: b for v, (b, _, _) in zip(vs, values)
+                       if b is not None}
     return best, witness

@@ -2,17 +2,21 @@
 
 from dataclasses import dataclass
 
-from .core import (BOT, TOP, apply_assignment, clause_falsifier, clause_key,
+from .core import (BOT, TOP, clause_key, falsify, pack, pack_set,
                    sorted_clauses, subsumption_eliminate, variables)
 from .errors import CapExceededError
-from .propagation import sat_oracle
+from .propagation import sat_packed
 
 
 def implies(f, c, cap_vars=24):
     """Does every model of f satisfy clause c?"""
-    g = apply_assignment(clause_falsifier(c), f)
-    ok, _ = sat_oracle(g, cap_vars=cap_vars)
-    return not ok
+    return entails(pack_set(f), pack(c), cap_vars)
+
+
+def entails(g, c, cap_vars=24):
+    """`implies` on packed clauses.  The cap applies to the variables
+    left after instantiating g by the falsifier of c."""
+    return sat_packed(falsify(g, c), cap_vars) is None
 
 
 def equivalent(f, g, cap_vars=24):
@@ -26,11 +30,14 @@ def prime_implicates(f, cap_clauses=100000):
 
     Clauses are packed into integer bitmasks: with the variables of f
     numbered 0, 1, ... in ascending order, literal v of the i-th variable
-    is bit 2i and -v is bit 2i+1.  Variable by variable, every
-    non-tautological resolvent on it is added in ascending size; a
-    resolvent that a kept clause subsumes is dropped, and kept clauses
-    that it subsumes are removed.  Resolvents on a variable no longer
-    contain it, so each variable needs a single pass.  `cap_clauses`
+    is bit 2i and -v is bit 2i+1.  This dense per-call numbering, unlike
+    `core`'s absolute bits, keeps the per-bit occurrence list below at
+    one entry per literal of f, whatever its largest variable id.
+    Variable by variable, every non-tautological resolvent on it is added
+    in ascending size; a resolvent that a kept clause subsumes is
+    dropped, and kept clauses that it subsumes are removed.  Resolvents
+    on a variable no longer contain it, so each variable needs a single
+    pass.  `cap_clauses`
     bounds the working set after each variable.
 
     Returns exactly the inclusion-minimal implicates.  TOP yields TOP,
@@ -123,12 +130,10 @@ def essential_primes(f, cap_vars=24, primes=None):
     """
     if primes is None:
         primes = prime_implicates(f)
-    out = set()
-    for c in primes:
-        rest = primes - {c}
-        if not implies(rest, c, cap_vars=cap_vars):
-            out.add(c)
-    return frozenset(out)
+    packed = {c: pack(c) for c in primes}
+    g = frozenset(packed.values())
+    return frozenset(c for c, m in packed.items()
+                     if not entails(g - {m}, m, cap_vars))
 
 
 @dataclass(frozen=True)

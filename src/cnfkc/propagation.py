@@ -2,11 +2,14 @@
 
 from dataclasses import dataclass
 
-from .core import (BOT, apply_assignment, clause_key, literal_assignment,
-                   literals_of, variables)
+from .core import (BOT, apply_assignment, bit_literal, bits, clause_key,
+                   flip, instantiate, literal_assignment,
+                   literal_bit, pack_set, packed_variable_count, union,
+                   unpack_set, variables)
 from .errors import CapExceededError
 
 REFUTED = frozenset([BOT])
+REFUTED_PACKED = frozenset([0])
 
 # sentinel returned by forced_literals on unsatisfiable input
 ALL_FORCED = "all"
@@ -26,11 +29,6 @@ def _result(f, assigned):
     return PropagationResult(reduced=f, assigned=assigned, refuted=False)
 
 
-def _candidate_literals(f):
-    """Literals of f in the fixed scan order: ascending var, positive first."""
-    return clause_key(literals_of(f))
-
-
 def propagate(f, k, cache=None, select=None):
     """Reduce f by level-k propagation.
 
@@ -41,43 +39,52 @@ def propagate(f, k, cache=None, select=None):
     """
     if cache is None:
         cache = {}
-    return _propagate(f, k, cache, select, {})
+    reduced, assigned = propagate_packed(pack_set(f), k, cache, select)
+    refuted = 0 in reduced
+    return PropagationResult(
+        reduced=REFUTED if refuted else unpack_set(reduced),
+        assigned={abs(x): int(x > 0) for x in map(bit_literal, assigned)},
+        refuted=refuted)
 
 
-def _propagate(f, k, cache, select, assigned):
-    if BOT in f or k == 0:
-        return _result(f, assigned)
-    key = (f, k)
+def propagate_packed(g, k, cache, select=None):
+    """`propagate` on the packed clause-set g: (reduced, assigned), with
+    the assigned literals as single-bit masks in assignment order.
+
+    `cache` maps (g, k) to the result for every level >= 1 visited.
+    Candidates are scanned in ascending bit order, which is the canonical
+    literal order, unless `select` reorders their literals.
+    """
+    if 0 in g:
+        return REFUTED_PACKED, ()
+    if k == 0:
+        return g, ()
+    key = (g, k)
     hit = cache.get(key)
     if hit is not None:
-        reduced, extra = hit
-        merged = dict(assigned)
-        merged.update(extra)
-        if reduced == REFUTED:
-            return PropagationResult(REFUTED, merged, True)
-        return PropagationResult(reduced, merged, False)
-    start = f
-    extra = {}
-    g = f
-    progress = True
-    while progress and BOT not in g:
-        progress = False
-        candidates = _candidate_literals(g)
+        return hit
+    assigned = []
+    while 0 not in g:
+        candidates = bits(union(g))
         if select is not None:
-            candidates = select(candidates)
-        for x in candidates:
-            zero = apply_assignment(literal_assignment(x, 0), g)
-            if _propagate(zero, k - 1, cache, select, {}).refuted:
-                phi = literal_assignment(x, 1)
-                extra.update(phi)
-                g = apply_assignment(phi, g)
-                progress = True
+            candidates = [literal_bit(x) for x in
+                          select(tuple(map(bit_literal, candidates)))]
+        for b in candidates:
+            nb = flip(b)
+            if k == 1:
+                # b falsified leaves the empty clause iff {b} is a unit
+                refuted = b in g
+            else:
+                refuted = 0 in propagate_packed(instantiate(g, nb, b), k - 1,
+                                                cache, select)[0]
+            if refuted:
+                assigned.append(b)
+                g = instantiate(g, b, nb)
                 break
-    reduced = REFUTED if BOT in g else g
-    cache[(start, k)] = (reduced, extra)
-    merged = dict(assigned)
-    merged.update(extra)
-    return PropagationResult(reduced, merged, BOT in g)
+        else:
+            break
+    hit = cache[key] = (REFUTED_PACKED if 0 in g else g, tuple(assigned))
+    return hit
 
 
 def propagate_full(f, cache=None):
@@ -109,37 +116,49 @@ def unit_propagate(f):
 
 def sat_oracle(f, cap_vars=24):
     """Complete DPLL check.  Returns (satisfiable, partial model or None)."""
-    if len(variables(f)) > cap_vars:
+    model = sat_packed(pack_set(f), cap_vars)
+    if model is None:
+        return False, None
+    return True, {abs(x): int(x > 0) for x in map(bit_literal, bits(model))}
+
+
+def sat_packed(g, cap_vars=24):
+    """DPLL on the packed clause-set g: the mask of a partial model's true
+    literals, or None when g is unsatisfiable.
+
+    Every unit is assigned before each branch; the branch is on the
+    lowest literal, true first.
+    """
+    n = packed_variable_count(g)
+    if n > cap_vars:
         raise CapExceededError(
-            "sat oracle capped at %d variables, got %d"
-            % (cap_vars, len(variables(f))))
-    model = _dpll(f, {})
-    return (model is not None), model
-
-
-def _dpll(f, phi):
-    while True:
-        if BOT in f:
-            return None
-        if not f:
-            return phi
-        res = unit_propagate(f)
-        if res.assigned:
-            phi = dict(phi)
-            phi.update(res.assigned)
-            f = res.reduced
+            "sat oracle capped at %d variables, got %d" % (cap_vars, n))
+    # (clause-set, model so far, literals to make true first)
+    stack = [(g, 0, 0)]
+    while stack:
+        g, model, true = stack.pop()
+        false = flip(true)
+        while not true & false:  # else complementary units
+            if true:
+                model |= true
+                g = instantiate(g, true, false)
+            if 0 in g:
+                break
+            true = 0
+            for m in g:
+                if not m & (m - 1):
+                    true |= m
+            if not true:
+                break
+            false = flip(true)
+        if true or 0 in g:
             continue
-        break
-    if BOT in f:
-        return None
-    x = min(literals_of(f), key=lambda y: (abs(y), y < 0))
-    for value in (1, 0):
-        step = literal_assignment(x, value)
-        extended = dict(phi)
-        extended.update(step)
-        found = _dpll(apply_assignment(step, f), extended)
-        if found is not None:
-            return found
+        if not g:
+            return model
+        b = union(g)
+        b &= -b
+        stack.append((g, model, flip(b)))
+        stack.append((g, model, b))
     return None
 
 
@@ -149,14 +168,13 @@ def forced_literals(f, cap_vars=24):
     Returns the sentinel ALL_FORCED when f is unsatisfiable (every literal
     is vacuously forced).
     """
-    ok, _ = sat_oracle(f, cap_vars=cap_vars)
-    if not ok:
+    g = pack_set(f)
+    if sat_packed(g, cap_vars) is None:
         return ALL_FORCED
     forced = set()
     for v in sorted(variables(f)):
         for x in (v, -v):
-            g = apply_assignment(literal_assignment(x, 0), f)
-            ok, _ = sat_oracle(g, cap_vars=cap_vars)
-            if not ok:
+            b = literal_bit(x)
+            if sat_packed(instantiate(g, flip(b), b), cap_vars) is None:
                 forced.add(x)
     return frozenset(forced)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .compile import equivalent_subset, greedy_base, smallest_base
-from .core import sorted_clauses, clause_key
+from .core import clause_key, flip, pack, sorted_clauses
 from .errors import CapExceededError, IntegrityError, ParseError
 from .hardness import whd_at_most
 from .primes import essential_primes, prime_implicates
@@ -33,13 +33,13 @@ def trigger_hypergraph(f, k, primes=None, cap_clauses=100000):
     if primes is None:
         primes = prime_implicates(f, cap_clauses=cap_clauses)
     vs = sorted_clauses(primes)
+    masks = [pack(c) for c in vs]
     edges = []
-    for c in vs:
-        neg = {-x for x in c}
-        members = frozenset(
-            i for i, d in enumerate(vs)
-            if not (d & neg) and len(d - c) <= k)
-        edges.append(members)
+    for c in masks:
+        neg = flip(c)
+        edges.append(frozenset(
+            i for i, d in enumerate(masks)
+            if not d & neg and (d & ~c).bit_count() <= k))
     return TriggerHypergraph(vertices=tuple(vs), edges=tuple(edges), k=k)
 
 
@@ -256,12 +256,14 @@ def min_equivalent_size(f, k, mode="exhaustive", cap_primes=18,
         tau = transversal_number(hypergraph, cap_nodes=cap_nodes)
     floor = max(tau.lower_bound, len(essential))
 
+    def level(sub):
+        return whd_at_most(sub, k, primes)
+
     def good(sub):
-        return (equivalent_subset(sub, primes)
-                and whd_at_most(sub, k, primes))
+        return equivalent_subset(sub, primes) and level(sub)
 
     if mode == "heuristic":
-        rep = greedy_base(vs, essential, good)[0]
+        rep = greedy_base(vs, essential, level)[0]
         return MinEquivResult(size=len(rep), representative=rep,
                               exact=False, lower_bound=floor)
     if floor >= len(vs) and tau.exact:

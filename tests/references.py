@@ -1,0 +1,179 @@
+"""Frozenset references for the packed-clause engines.
+
+Each function here is the engine written literal by literal on frozenset
+clauses, with the same scan order, caps and results, so that the tests
+can compare the packed kernel against it for exact equality.
+"""
+
+from cnfkc.core import (BOT, apply_assignment, clause_falsifier, clause_key,
+                        literal_assignment, literals_of, resolvable, resolve,
+                        sorted_clauses)
+from cnfkc.errors import CapExceededError
+from cnfkc.propagation import REFUTED, PropagationResult, unit_propagate
+
+
+def propagate_frozenset(f, k, cache=None, select=None):
+    """`propagation.propagate` written on frozenset clauses: the same
+    candidate scan, recursion and cache (keyed by clause-set and level)."""
+    if cache is None:
+        cache = {}
+    return _propagate_frozenset(f, k, cache, select)
+
+
+def _propagate_frozenset(f, k, cache, select):
+    if BOT in f:
+        return PropagationResult(REFUTED, {}, True)
+    if k == 0:
+        return PropagationResult(f, {}, False)
+    hit = cache.get((f, k))
+    if hit is not None:
+        return hit
+    assigned = {}
+    g = f
+    progress = True
+    while progress and BOT not in g:
+        progress = False
+        candidates = clause_key(literals_of(g))
+        if select is not None:
+            candidates = select(candidates)
+        for x in candidates:
+            zero = apply_assignment(literal_assignment(x, 0), g)
+            if _propagate_frozenset(zero, k - 1, cache, select).refuted:
+                phi = literal_assignment(x, 1)
+                assigned.update(phi)
+                g = apply_assignment(phi, g)
+                progress = True
+                break
+    if BOT in g:
+        hit = PropagationResult(REFUTED, assigned, True)
+    else:
+        hit = PropagationResult(g, assigned, False)
+    cache[(f, k)] = hit
+    return hit
+
+
+def sat_oracle_frozenset(f):
+    """DPLL on frozenset clauses, without a cap: unit propagation by
+    `propagation.unit_propagate`, then a branch on the least literal in
+    (variable, sign) order, true first.  Returns (satisfiable, model)."""
+    model = _dpll_frozenset(f, {})
+    return model is not None, model
+
+
+def _dpll_frozenset(f, phi):
+    while True:
+        if BOT in f:
+            return None
+        if not f:
+            return phi
+        res = unit_propagate(f)
+        if not res.assigned:
+            break
+        phi = dict(phi)
+        phi.update(res.assigned)
+        f = res.reduced
+    x = min(literals_of(f), key=lambda y: (abs(y), y < 0))
+    for value in (1, 0):
+        step = literal_assignment(x, value)
+        extended = dict(phi)
+        extended.update(step)
+        found = _dpll_frozenset(apply_assignment(step, f), extended)
+        if found is not None:
+            return found
+    return None
+
+
+def implies_frozenset(f, c):
+    return not sat_oracle_frozenset(apply_assignment(clause_falsifier(c),
+                                                     f))[0]
+
+
+def k_res_refutes_frozenset(f, k, cap_clauses=200000, want_trace=False):
+    """`hardness.k_res_refutes` on frozenset clauses: the same clause
+    order, pair order, cap and trace."""
+    seen = {}
+    order = []
+    for c in sorted_clauses(f):
+        seen[c] = None
+        order.append(c)
+    if BOT in seen:
+        return True, ([] if want_trace else None)
+    i = 0
+    while i < len(order):
+        c = order[i]
+        for j in range(i):
+            d = order[j]
+            if len(c) > k and len(d) > k:
+                continue
+            if not resolvable(c, d):
+                continue
+            r = resolve(c, d)
+            if r in seen:
+                continue
+            seen[r] = (c, d)
+            order.append(r)
+            if r == BOT:
+                return True, (_trace_frozenset(seen, r) if want_trace
+                              else None)
+        i += 1
+        if len(order) > cap_clauses:
+            raise CapExceededError(
+                "bounded resolution exceeded %d clauses" % cap_clauses)
+    return False, None
+
+
+def _trace_frozenset(seen, goal):
+    steps = []
+    stack = [goal]
+    done = set()
+    while stack:
+        c = stack.pop()
+        if c in done:
+            continue
+        done.add(c)
+        par = seen[c]
+        if par is not None:
+            steps.append((c, par[0], par[1]))
+            stack.extend(par)
+    steps.reverse()
+    return steps
+
+
+def width_refutes_frozenset(f, w, cap_clauses=200000):
+    """`hardness.width_refutes` on frozenset clauses."""
+    order = [c for c in sorted_clauses(f) if len(c) <= w]
+    seen = set(order)
+    if BOT in seen:
+        return True
+    i = 0
+    while i < len(order):
+        c = order[i]
+        for j in range(i):
+            d = order[j]
+            if not resolvable(c, d):
+                continue
+            r = resolve(c, d)
+            if len(r) > w or r in seen:
+                continue
+            seen.add(r)
+            order.append(r)
+            if r == BOT:
+                return True
+        i += 1
+        if len(order) > cap_clauses:
+            raise CapExceededError(
+                "width-bounded resolution exceeded %d clauses" % cap_clauses)
+    return False
+
+
+def trigger_edges_frozenset(primes, k):
+    """The edges of `trigger.trigger_hypergraph` by the frozenset pair
+    scan: per prime C in canonical order, the indices of the primes D
+    with no literal complementary to C and |D - C| <= k."""
+    vs = sorted_clauses(primes)
+    edges = []
+    for c in vs:
+        neg = {-x for x in c}
+        edges.append(frozenset(i for i, d in enumerate(vs)
+                               if not (d & neg) and len(d - c) <= k))
+    return tuple(edges)

@@ -150,6 +150,47 @@ def test_integrity_error_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+def test_integrity_error_prints_its_witness(tmp_path, capsys):
+    path = tmp_path / "square.cnf"
+    path.write_text(emit_dimacs(cs([1, 2], [1, -2], [-1, 2], [-1, -2])))
+    assert main(["query", "--kind", "MC", "--k", "0", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "level-0 resolution missed an unsatisfiable branch" in err
+    assert 'witness: {"1": 0}' in err
+
+
+def _count_closures(monkeypatch):
+    import cnfkc.cli
+    import cnfkc.hardness
+    calls = []
+    real = cnfkc.cli.prime_implicates
+
+    def counted(f, *args, **kwargs):
+        calls.append(f)
+        return real(f, *args, **kwargs)
+
+    for module in (cnfkc.cli, cnfkc.hardness):
+        monkeypatch.setattr(module, "prime_implicates", counted)
+    return calls
+
+
+def test_measure_computes_one_closure_and_only_when_needed(
+        tmp_path, capsys, monkeypatch):
+    from cnfkc.cli import build_extremal_doped
+    calls = _count_closures(monkeypatch)
+    doped = tmp_path / "doped.cnf"
+    doped.write_text(emit_dimacs(build_extremal_doped(1, 2)[1].doped))
+    code, out = run(capsys, "measure", str(doped),
+                    "--measures", "hd,whd,wid,primes")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out) == {"hd": 2, "whd": 2, "wid": 2, "primes": 15}
+    unsat = tmp_path / "diff.cnf"
+    unsat.write_text(emit_dimacs(DIFF))
+    code, out = run(capsys, "measure", str(unsat), "--measures", "hd,whd,wid")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["hd"] == 3
+
+
 def test_primes_command(tmp_path, capsys):
     path = tmp_path / "f.cnf"
     path.write_text(emit_dimacs(cs([1, 2], [-1, 2])))

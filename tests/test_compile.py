@@ -3,7 +3,7 @@ import random
 from cnfkc.compile import (answer_query, canon_primes, enumerate_models,
                            equivalent_subset, greedy_base, k_base,
                            smallest_base)
-from cnfkc.core import TOP, clause, sorted_clauses, variables
+from cnfkc.core import TOP, clause, pack_set, sorted_clauses, variables
 from cnfkc.errors import CapExceededError, IntegrityError, ParseError
 from cnfkc.hardness import hd, whd
 from cnfkc.mpsdope import dope
@@ -79,6 +79,17 @@ def test_k_base_doped_tree_respects_transversal():
     assert len(base.clauses) >= tau.value
 
 
+def test_model_enumeration_dead_end_is_an_integrity_error(monkeypatch):
+    import cnfkc.compile
+    # a saturation that refutes nothing leaves the empty clause at a
+    # total assignment, which no correct run reaches
+    monkeypatch.setattr(cnfkc.compile, "k_res_packed",
+                        lambda g, k: (False, None))
+    with pytest.raises(IntegrityError) as err:
+        enumerate_models(cs([1]), 1)
+    assert err.value.witness == {1: 0}
+
+
 def test_k_base_cap():
     d = dope(tree_to_clauses(extremal_tree(2, 3)))
     primes = prime_implicates(d.doped)
@@ -93,22 +104,44 @@ def test_smallest_base_rejecting_everything_is_an_integrity_error():
                       lambda sub: False, 0)
 
 
-def test_greedy_base_never_tries_without_an_essential_prime():
+def test_greedy_base_never_tries_without_an_essential_prime(monkeypatch):
+    import cnfkc.compile
+    real = cnfkc.compile.entails
+    tested = []
+
+    def entails(g, c):
+        tested.append(g)
+        return real(g, c)
+
+    # every entailment test, the sweep's removal trials included
+    monkeypatch.setattr(cnfkc.compile, "entails", entails)
     rng = random.Random(86)
-    for _ in range(15):
-        f = oracles.random_clause_set(rng, max_n=4, max_c=5)
+    swept = 0
+    for _ in range(30):
+        # an implication cycle alone has no essential prime, so the
+        # additions can overshoot and leave the sweep work to do
+        lits = [v * rng.choice((1, -1)) for v in rng.sample(range(1, 7), 4)]
+        f = frozenset(clause([-a, b])
+                      for a, b in zip(lits, lits[1:] + lits[:1]))
+        f |= oracles.random_clause_set(rng, max_n=6, max_c=3)
         primes = prime_implicates(f)
         ess = essential_primes(primes, primes=primes)
         tried = []
+        tested.clear()
 
-        def good(sub):
+        def level(sub):
             tried.append(sub)
-            return equivalent_subset(sub, primes)
+            return True
 
-        base, added, removed = greedy_base(sorted_clauses(primes), ess, good)
-        assert all(ess <= sub for sub in tried)
+        base, added, removed = greedy_base(sorted_clauses(primes), ess, level)
+        assert all(pack_set(ess) <= g for g in tested)
+        # `level` only ever sees subsets equivalent to the primes
+        assert all(ess <= sub and equivalent_subset(sub, primes)
+                   for sub in tried)
         assert equivalent(base, f) and ess <= base
         assert base == (ess | frozenset(added)) - frozenset(removed)
+        swept += len(tried) > 1
+    assert swept >= 5
 
 
 def test_canon_primes_full_budget_equals_primes():

@@ -1,0 +1,127 @@
+"""The packed-clause engines against their frozenset references."""
+
+import random
+
+from hypothesis import given, settings
+
+from cnfkc.core import (BOT, TOP, apply_assignment, bit_literal, bits,
+                        clause, flip, literal_bit, pack, pack_set,
+                        sorted_clauses, sorted_masks, unpack, unpack_set)
+from cnfkc.errors import CapExceededError
+from cnfkc.hardness import hd, hd_at_most, k_res_refutes, width_refutes
+from cnfkc.primes import implies, prime_implicates
+from cnfkc.propagation import propagate, sat_oracle
+from cnfkc.trigger import trigger_hypergraph
+
+import oracles
+import references
+from strategies import clause_list_examples, clause_lists
+import pytest
+
+
+def _clauses_over(f, seed):
+    """Clauses to test entailment of: every clause of f, the empty clause,
+    and seeded clauses over the literals of f."""
+    lits = sorted({x for c in f for x in c}, key=abs)
+    rng = random.Random(seed)
+    out = set(f) | {BOT}
+    for _ in range(6):
+        picked = {}
+        for x in rng.sample(lits, min(len(lits), rng.randint(1, 3))):
+            picked[abs(x)] = x
+        out.add(frozenset(picked.values()))
+    return sorted_clauses(out)
+
+
+def test_bit_order_is_the_canonical_literal_order():
+    lits = [1, -1, 2, -2, 7, -7, 1000, -1000]
+    assert [literal_bit(x) for x in lits] == sorted(
+        literal_bit(x) for x in lits)
+    assert [bit_literal(literal_bit(x)) for x in lits] == lits
+    assert flip(pack([1, -2, 1000])) == pack([-1, 2, -1000])
+    assert pack(BOT) == 0 and unpack(0) == BOT
+    assert [bit_literal(b) for b in bits(pack([-7, 3, -1]))] == [-1, 3, -7]
+
+
+def _reversed(cands):
+    return cands[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(clause_lists())
+@clause_list_examples
+def test_engines_match_the_frozenset_references(clauses):
+    """Packing, r_k (with and without `select`, `assigned` in order), the
+    DPLL and its models, `implies` and both saturations (with the trace)
+    give exactly what their frozenset versions give."""
+    f = frozenset(clauses)
+    assert unpack_set(pack_set(f)) == f
+    assert [unpack(m) for m in sorted_masks(pack_set(f))] == \
+        sorted_clauses(f)
+    for k in range(4):
+        for select in (None, _reversed):
+            want = references.propagate_frozenset(f, k, select=select)
+            got = propagate(f, k, select=select)
+            assert got.refuted == want.refuted
+            assert got.reduced == want.reduced
+            assert list(got.assigned.items()) == \
+                list(want.assigned.items())
+    ok, model = sat_oracle(f)
+    assert (ok, model) == references.sat_oracle_frozenset(f)
+    assert ok == oracles.satisfiable_tt(f)
+    if ok:
+        assert apply_assignment(model, f) == TOP
+    for c in _clauses_over(f, len(clauses)):
+        assert implies(f, c) == references.implies_frozenset(f, c)
+    for k in range(4):
+        assert k_res_refutes(f, k, want_trace=True) == \
+            references.k_res_refutes_frozenset(f, k, want_trace=True)
+        assert k_res_refutes(f, k) == references.k_res_refutes_frozenset(f, k)
+    for w in range(5):
+        assert width_refutes(f, w) == references.width_refutes_frozenset(f, w)
+
+
+def test_a_cache_shared_by_two_clause_sets_keeps_them_apart():
+    # a per-call numbering would give both sets the same packed form
+    f = frozenset([clause([1]), clause([-1, 2])])
+    g = frozenset([clause([7]), clause([-7, 9])])
+    cache = {}
+    first = propagate(f, 2, cache=cache)
+    second = propagate(g, 2, cache=cache)
+    assert first.assigned == {1: 1, 2: 1}
+    assert second.assigned == {7: 1, 9: 1}
+    assert second == propagate(g, 2)
+    assert propagate(f, 2, cache=cache) == first
+    primes = prime_implicates(g)
+    assert hd_at_most(g, 1, primes, cache=cache)
+    assert not hd_at_most(g, 0, primes, cache=cache)
+    assert hd(g) == 1
+
+
+def test_implies_caps_the_instantiated_variables():
+    f = frozenset(clause([v, v + 1]) for v in range(1, 40, 2))
+    with pytest.raises(CapExceededError):
+        implies(f, clause([1]))
+    # falsifying 1..16 leaves the 24 variables 17..40
+    assert implies(f, clause(range(1, 17)), cap_vars=24)
+    with pytest.raises(CapExceededError):
+        implies(f, clause(range(1, 17)), cap_vars=23)
+
+
+def test_saturation_caps_still_apply():
+    f = frozenset(clause([v, -(v + 1)]) for v in range(1, 30))
+    with pytest.raises(CapExceededError):
+        k_res_refutes(f, 2, cap_clauses=40)
+    with pytest.raises(CapExceededError):
+        width_refutes(f, 2, cap_clauses=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clause_lists())
+@clause_list_examples
+def test_trigger_edges_match_the_frozenset_scan(clauses):
+    primes = prime_implicates(clauses)
+    for k in range(4):
+        g = trigger_hypergraph(clauses, k, primes=primes)
+        assert g.vertices == tuple(sorted_clauses(primes))
+        assert g.edges == references.trigger_edges_frozenset(primes, k)

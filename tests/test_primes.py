@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings
 
 from cnfkc.core import BOT, TOP, clause, subsumption_eliminate
 from cnfkc.primes import (equivalent, essential_primes, implies,
@@ -9,6 +9,7 @@ from cnfkc.primes import (equivalent, essential_primes, implies,
 
 import oracles
 from oracles import prime_implicates_bruteforce
+from strategies import clause_list_examples, clause_lists
 
 
 def cs(*clauses):
@@ -57,34 +58,9 @@ def test_closure_matches_bruteforce():
         assert prime_implicates(f) == prime_implicates_bruteforce(f)
 
 
-@st.composite
-def clause_lists(draw):
-    """Clause lists over at most five variables with small or large ids,
-    the empty clause allowed, and some clauses listed twice."""
-    vs = draw(st.lists(st.integers(1, 6) | st.integers(7, 2000),
-                       min_size=1, max_size=5, unique=True))
-    one = st.dictionaries(st.sampled_from(vs), st.sampled_from((1, -1)),
-                          min_size=1, max_size=4)
-    cls = [frozenset(v * s for v, s in c.items())
-           for c in draw(st.lists(one, max_size=8))]
-    if draw(st.integers(0, 7)) == 7:
-        cls.append(BOT)
-    if cls:
-        cls += draw(st.lists(st.sampled_from(cls), max_size=2))
-    return tuple(cls)
-
-
 @settings(max_examples=300, deadline=None)
 @given(clause_lists())
-@example(())
-@example((BOT,))
-@example((BOT, clause([1]), clause([-1, 2])))
-@example((clause([1]), clause([-1])))
-@example((clause([1, 2]), clause([1, -2]), clause([-1, 2]),
-          clause([-1, -2])))
-@example((clause([1000, -7]),))
-@example((clause([1000, -7]), clause([7, 3]), clause([7, 3]),
-          clause([-1000]), clause([-1000])))
+@clause_list_examples
 def test_closure_matches_allpairs_and_bruteforce(f):
     primes = prime_implicates(f)
     assert primes == oracles.prime_implicates_allpairs(f)
