@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .core import (TOP, apply_assignment, clause_key, falsify, flip,
                    instantiate, literal_bit, pack, pack_set, sorted_clauses,
-                   subsumption_eliminate, variables)
+                   sorted_masks, subsumption_eliminate, variables)
 from .errors import CapExceededError, IntegrityError, ParseError
 from .hardness import hd_at_most, k_res_packed
 from .mpsdope import pure_clause
@@ -146,11 +146,12 @@ def answer_query(kind, f, k, clause=None, assignment=None, other=None,
         if whd(f) > k:
             raise IntegrityError("input exceeds asymmetric width %d" % k)
     if kind == "CO":
-        return not k_res_packed(pack_set(f), k)[0]
+        return not k_res_packed(sorted_masks(pack_set(f)), k)[0]
     if kind == "CE":
         if clause is None:
             raise ParseError("CE needs a clause")
-        return k_res_packed(falsify(pack_set(f), pack(clause)), k)[0]
+        return k_res_packed(sorted_masks(falsify(pack_set(f), pack(clause))),
+                            k)[0]
     if kind == "VA":
         return f == TOP
     if kind == "IM":
@@ -198,7 +199,7 @@ def _models_below(vs, i, phi, g, k, cap_models, out):
                 raise CapExceededError(
                     "model enumeration exceeded %d" % cap_models)
         return True
-    if k_res_packed(g, k)[0]:
+    if k_res_packed(sorted_masks(g), k)[0]:
         return False
     if i == len(vs):
         raise IntegrityError(

@@ -19,20 +19,22 @@ def k_res_refutes(f, k, cap_clauses=200000, want_trace=False):
     Returns (refuted, trace); the trace lists (clause, parent, parent)
     derivation steps ending in the empty clause when requested.
     """
-    refuted, trace = k_res_packed(pack_set(f), k, cap_clauses, want_trace)
+    refuted, trace = k_res_packed(sorted_masks(pack_set(f)), k, cap_clauses,
+                                  want_trace)
     if trace is not None:
         trace = [tuple(map(unpack, step)) for step in trace]
     return refuted, trace
 
 
-def k_res_packed(g, k, cap_clauses=200000, want_trace=False):
-    """`k_res_refutes` on the packed clause-set g, with a packed trace.
+def k_res_packed(order, k, cap_clauses=200000, want_trace=False):
+    """`k_res_refutes` on packed clauses given in `sorted_masks` order,
+    with a packed trace.
 
-    Clauses are taken in sorted_clauses order, each resolved against every
-    earlier one in order (only the clauses of size <= k when it is
-    larger), and resolvents join the end of the order.
+    Clauses are taken in that order, each resolved against every earlier
+    one in order (only the clauses of size <= k when it is larger), and
+    resolvents join the end of a copy of the order.
     """
-    order = sorted_masks(g)
+    order = list(order)
     seen = dict.fromkeys(order)
     if 0 in seen:
         return True, ([] if want_trace else None)
@@ -82,12 +84,12 @@ def _trace(seen, goal):
 
 def width_refutes(f, w, cap_clauses=200000):
     """Resolution refutation where every clause (axioms too) has size <= w."""
-    return width_packed(pack_set(f), w, cap_clauses)
+    return width_packed(sorted_masks(pack_set(f)), w, cap_clauses)
 
 
-def width_packed(g, w, cap_clauses=200000):
-    """`width_refutes` on the packed clause-set g."""
-    order = [c for c in sorted_masks(g) if c.bit_count() <= w]
+def width_packed(order, w, cap_clauses=200000):
+    """`width_refutes` on packed clauses given in `sorted_masks` order."""
+    order = [c for c in order if c.bit_count() <= w]
     seen = set(order)
     if 0 in seen:
         return True
@@ -171,14 +173,16 @@ def whd(f, cap_vars=24, primes=None):
 
 
 def _whd_unsat(g):
+    order = sorted_masks(g)
     for k in itertools.count():
-        if k_res_packed(g, k)[0]:
+        if k_res_packed(order, k)[0]:
             return k
 
 
 def whd_at_most(f, k, primes):
     g = pack_set(f)
-    return all(k_res_packed(falsify(g, pack(c)), k)[0] for c in primes)
+    return all(k_res_packed(sorted_masks(falsify(g, pack(c))), k)[0]
+               for c in primes)
 
 
 def wid(f, cap_vars=24, primes=None):
@@ -190,8 +194,9 @@ def wid(f, cap_vars=24, primes=None):
 
 
 def _wid_unsat(g):
+    order = sorted_masks(g)
     for w in itertools.count():
-        if width_packed(g, w):
+        if width_packed(order, w):
             return w
 
 

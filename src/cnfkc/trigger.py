@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .compile import equivalent_subset, greedy_base, smallest_base
-from .core import clause_key, flip, pack, sorted_clauses
+from .core import bits, clause_key, flip, pack, sorted_clauses
 from .errors import CapExceededError, IntegrityError, ParseError
 from .hardness import whd_at_most
 from .primes import essential_primes, prime_implicates
@@ -64,86 +64,101 @@ def _dedupe_edges(g):
     return sorted(set(g.edges), key=lambda e: (len(e), sorted(e)))
 
 
-def _vertices(mask):
-    return [v for v, b in enumerate(reversed(bin(mask))) if b == "1"]
+def _edge_index(g):
+    """(edges, inc, clash): the deduped edges in `_dedupe_edges` order;
+    per vertex v, `inc[v]` is the bitmask of the indices of the edges
+    containing v; per edge j, `clash[j]` is the bitmask of the edges
+    sharing a vertex with edge j, and always has bit j."""
+    edges = _dedupe_edges(g)
+    inc = {}
+    for j, e in enumerate(edges):
+        bit = 1 << j
+        for v in e:
+            inc[v] = inc.get(v, 0) | bit
+    clash = []
+    for j, e in enumerate(edges):
+        m = 1 << j
+        for v in e:
+            m |= inc[v]
+        clash.append(m)
+    return edges, inc, clash
 
 
-def _greedy_cover(masks, freq):
-    """Repeatedly take the vertex in most uncovered edges, least on ties;
-    `freq` counts each vertex's edges among `masks`."""
-    counts = dict(freq)
+def _greedy_cover(edges, inc):
+    """Repeatedly take the vertex in most uncovered edges, least on ties."""
+    counts = {v: m.bit_count() for v, m in inc.items()}
     chosen = []
-    uncovered = masks
+    uncovered = (1 << len(edges)) - 1
     while uncovered:
         best = min(counts, key=lambda v: (-counts[v], v))
         chosen.append(best)
-        rest = []
-        for e in uncovered:
-            if e >> best & 1:
-                for v in _vertices(e):
-                    counts[v] -= 1
-            else:
-                rest.append(e)
-        uncovered = rest
+        hit = uncovered & inc[best]
+        uncovered ^= hit
+        for low in bits(hit):
+            for v in edges[low.bit_length() - 1]:
+                counts[v] -= 1
     return chosen
 
 
-def _disjoint_edges(masks):
-    """Positions of greedy pairwise-disjoint edges (a quick matching bound)."""
-    used = 0
+def _disjoint_edges(clash, rest, stop=None):
+    """Indices of greedy pairwise-disjoint edges among the index set
+    `rest`, lowest index first (a quick matching bound); it stops once
+    `stop` are picked."""
     picked = []
-    for i, e in enumerate(masks):
-        if not e & used:
-            picked.append(i)
-            used |= e
+    while rest and len(picked) != stop:
+        j = (rest & -rest).bit_length() - 1
+        picked.append(j)
+        rest &= ~clash[j]
     return picked
 
 
 def transversal_number(g, cap_nodes=2 ** 20):
     """Exact minimum vertex set hitting every edge, by branch-and-bound.
 
-    Depth-first with an explicit stack over bitmask edges.  It branches
-    on the smallest uncovered edge, trying its vertices by descending
-    edge-membership frequency, ties by index, so witnesses are
-    reproducible.  On hitting the node cap the best known bounds are
-    returned flagged inexact.
+    Depth-first with an explicit stack; a node's uncovered edges are one
+    bitmask over edge indices, so adding vertex v is one AND with the
+    complement of its incidence mask.  It branches on the smallest
+    uncovered edge, trying its vertices by descending edge-membership
+    frequency, ties by index, so witnesses are reproducible.  A node is
+    cut when its size plus a greedy count of disjoint uncovered edges
+    reaches the best cover; the count stops there.  On hitting the node
+    cap the best known bounds are returned flagged inexact.
     """
-    edges = _dedupe_edges(g)
+    edges, inc, clash = _edge_index(g)
     if not edges:
         return SearchResult(0, (), True, 0, 0)
-    if any(not e for e in edges):
+    if not edges[0]:  # the empty edge sorts first
         raise ParseError("hypergraph has an empty edge; no transversal")
-    masks = [sum(1 << v for v in e) for e in edges]
-    freq = {}
-    for e in edges:
-        for v in e:
-            freq[v] = freq.get(v, 0) + 1
-    order = {m: sorted(e, key=lambda v: (-freq[v], v))
-             for m, e in zip(masks, edges)}
-    best = _greedy_cover(masks, freq)
-    path = [0] * len(freq)  # path[:size] is the partial transversal
+    every = (1 << len(edges)) - 1
+    without = {v: ~m for v, m in inc.items()}
+    # per edge, its vertices in reverse branching order, to push as is
+    pushes = [sorted(e, key=lambda v: (inc[v].bit_count(), -v))
+              for e in edges]
+    best = _greedy_cover(edges, inc)
+    path = [0] * len(inc)  # path[:size] is the partial transversal
     # (size, parent's uncovered edges, vertex just added or -1)
-    stack = [(0, masks, -1)]
+    stack = [(0, every, -1)]
+    push, pop = stack.append, stack.pop
     for _ in range(cap_nodes):
         if not stack:
             break
-        size, uncovered, v = stack.pop()
+        size, uncovered, v = pop()
         if v >= 0:
             path[size - 1] = v
-            bit = 1 << v
-            uncovered = [e for e in uncovered if not e & bit]
+            uncovered &= without[v]
         if not uncovered:
             if size < len(best):
                 best = path[:size]
             continue
-        if size + len(_disjoint_edges(uncovered)) >= len(best):
+        room = len(best) - size
+        if len(_disjoint_edges(clash, uncovered, room)) >= room:
             continue
-        # uncovered keeps the (size, members) order: [0] is the smallest
-        for v in reversed(order[uncovered[0]]):
-            stack.append((size + 1, uncovered, v))
+        low = uncovered & -uncovered
+        for v in pushes[low.bit_length() - 1]:
+            push((size + 1, uncovered, v))
     found = tuple(sorted(best))
     if stack:  # capped with nodes left
-        lower = len(_disjoint_edges(masks))
+        lower = len(_disjoint_edges(clash, every))
         return SearchResult(len(found), found, False, lower, len(found))
     return SearchResult(len(found), found, True, len(found), len(found))
 
@@ -151,39 +166,50 @@ def transversal_number(g, cap_nodes=2 ** 20):
 def matching_number(g, cap_nodes=2 ** 20):
     """Exact maximum number of pairwise disjoint edges.
 
-    Depth-first with an explicit stack over bitmask edges: at edge i,
-    first take it if it is disjoint from those taken, then skip it.
+    Depth-first with an explicit stack over edge indices: at edge i,
+    first take it if it is disjoint from those taken, then skip it.  The
+    state keeps `blocked`, the edges sharing a vertex with a taken one,
+    so a run of nodes that only step past blocked edges is crossed in
+    one step to the next free edge, or to the first index where the
+    bound cuts; each node crossed is charged to the cap.
     """
-    edges = _dedupe_edges(g)
-    masks = [sum(1 << v for v in e) for e in edges]
-    n = len(masks)
-    best = _disjoint_edges(masks)
-    path = [0] * n  # path[:size] holds the positions taken
+    edges, _, clash = _edge_index(g)
+    n = len(edges)
+    best = _disjoint_edges(clash, (1 << n) - 1)
+    path = [0] * n  # path[:size] holds the indices taken
     top = len(best)
-    stack = []  # skip branches still to visit: (i, used, size)
+    stack = []  # skip branches still to visit: (i, blocked, size)
     push, pop = stack.append, stack.pop
-    i = used = size = 0
-    exact = True
-    for _ in range(cap_nodes):
+    i = blocked = size = 0
+    left = cap_nodes  # nodes the cap still allows
+    exact = False
+    while left:
+        left -= 1  # the node at i
         if size > top:
             best = path[:size]
             top = size
-        # at i == n this fails too, as size <= top by now
-        if size + n - i > top:
-            e = masks[i]
-            i += 1
-            if not e & used:
-                # visit the take branch next, the skip branch after it
-                push((i, used, size))
-                path[size] = i - 1
-                used |= e
-                size += 1
+        # the bound cuts every node at or after `cut`; cut <= n
+        cut = size + n - top
+        b = blocked >> i
+        j = i + ((b + 1) & ~b).bit_length() - 1  # the next free edge
+        if j < cut:
+            # nodes i..j-1 skip blocked edges, node j takes its edge
+            left -= j - i
+            if left < 0:
+                break
+            push((j + 1, blocked, size))
+            path[size] = j
+            blocked |= clash[j]
+            size += 1
+            i = j + 1
             continue
-        if not stack:
+        left -= max(cut - i, 0)  # nodes i..cut-1 skip, node cut is cut
+        if left < 0:
             break
-        i, used, size = pop()
-    else:
-        exact = False
+        if not stack:
+            exact = True
+            break
+        i, blocked, size = pop()
     picked = tuple(edges[j] for j in best)
     if exact:
         return SearchResult(top, picked, True, top, top)

@@ -124,13 +124,40 @@ def test_matching_on_a_deep_star_does_not_recurse():
     assert r.value == 1 and not r.exact
 
 
-def test_matching_on_the_k1_h4_hypergraph_under_a_small_cap():
+def _row_hypergraph(k, h):
     from cnfkc.cli import build_extremal_doped
-    _, d = build_extremal_doped(1, 4)
-    g = trigger_hypergraph(d.doped, 1)
-    assert len(g.vertices) == 2047
-    r = matching_number(g, cap_nodes=2000)
+    _, d = build_extremal_doped(k, h)
+    return trigger_hypergraph(d.doped, k)
+
+
+@pytest.fixture(scope="module")
+def k1_h4():
+    """The level-1 hypergraph of the doped (1,4) tree: 2047 vertices,
+    about a second to build."""
+    return _row_hypergraph(1, 4)
+
+
+def test_matching_on_the_k1_h4_hypergraph_under_a_small_cap(k1_h4):
+    assert len(k1_h4.vertices) == 2047
+    r = matching_number(k1_h4, cap_nodes=2000)
     assert not r.exact and r.lower_bound == r.value >= 1
+
+
+def test_transversal_on_the_k1_h4_hypergraph_matches_the_reference(k1_h4):
+    r = transversal_number(k1_h4, cap_nodes=2000)
+    assert not r.exact
+    assert r == oracles.transversal_number_recursive(k1_h4, cap_nodes=2000)
+
+
+@pytest.mark.parametrize("k,h", [(1, 3), (2, 3)])
+def test_searches_match_the_references_on_golden_rows(k, h):
+    g = _row_hypergraph(k, h)
+    for cap in (5000, 40000):
+        assert (transversal_number(g, cap_nodes=cap)
+                == oracles.transversal_number_recursive(g, cap_nodes=cap))
+        nu = matching_number(g, cap_nodes=cap)
+        assert not nu.exact  # so the capped path is the one compared
+        assert nu == oracles.matching_number_recursive(g, cap_nodes=cap)
 
 
 @st.composite
@@ -170,8 +197,19 @@ def _graph(n, *edges):
 @example(_graph(7, [0], [0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5, 6],
                 [0, 1, 2, 4], [1, 3, 4, 5, 6], [1, 3, 5, 6], [2, 4, 6],
                 [0, 1, 2, 3, 4, 5], [2, 5, 6], [0, 1, 2, 3, 4, 5, 6]))
+# ν runs out at caps 4, 5, 11, 13 and 97 inside runs of blocked edges
+@example(_graph(7, [1, 6], [0, 6], [4], [1], [1, 4, 6], [1, 5], [1, 3],
+                [2, 4], [0]))
+# ν runs out at caps 4, 5, 11 and 13 exactly on a take
+@example(_graph(9, [1, 8], [2, 4], [1, 6, 7], [5, 6], [0, 6], [0]))
+# ν runs out at caps 5, 11 and 13 exactly on a cut, with nodes left
+@example(_graph(8, [2, 4], [1, 6], [1, 5, 7], [3, 6]))
+# ν ends after exactly 13 nodes, a cut at the last one; cap 11 is a cut
+@example(_graph(3, [1], [1, 2], [0], [0, 2]))
+# τ runs out at caps 4, 5 and 11 on a bound cut and ends after 13 nodes
+@example(_graph(8, [2, 5], [3, 4, 5], [0, 1, 2], [0, 6], [1, 7], [2, 6]))
 def test_searches_match_the_recursive_references(g):
-    for cap in (1, 2, 3, 7, 50, 2 ** 20):
+    for cap in (1, 2, 3, 4, 5, 7, 11, 13, 50, 97, 2 ** 20):
         assert (_outcome(transversal_number, g, cap)
                 == _outcome(oracles.transversal_number_recursive, g, cap))
         assert (_outcome(matching_number, g, cap)
