@@ -161,14 +161,14 @@ def cmd_measure(args, cfg):
               else ["n", "c", "ell", "deficiency", "hd", "whd", "wid",
                     "phd", "primes", "mps"])
     cap_vars = _setting(args, cfg, "cap_vars", 24)
-    # one closure for hd, whd, wid and primes, computed on first use;
-    # hd, whd and wid read it only when f is satisfiable
+    # one closure for hd, whd, wid, phd and primes, computed on first use;
+    # hd, whd, wid and phd read it only when f is satisfiable
     closure = functools.cache(lambda: prime_implicates(f))
     satisfiable = functools.cache(lambda: sat_oracle(f, cap_vars)[0])
     report = {}
     m = measures(f)
     base = {"n": m.n, "c": m.c, "ell": m.ell, "deficiency": m.deficiency}
-    worst_case = {"hd": hd, "whd": whd, "wid": wid}
+    worst_case = {"hd": hd, "whd": whd, "wid": wid, "phd": phd}
     for name in wanted:
         try:
             if name in base:
@@ -177,8 +177,6 @@ def cmd_measure(args, cfg):
                 report[name] = worst_case[name](
                     f, cap_vars=cap_vars,
                     primes=closure() if satisfiable() else None)
-            elif name == "phd":
-                report[name] = phd(f, cap_vars=min(cap_vars, 12))
             elif name == "primes":
                 report[name] = len(closure())
             elif name == "mps":

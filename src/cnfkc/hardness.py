@@ -5,9 +5,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (falsify, flip, instantiate, literal_bit, pack, pack_set,
-                   packed_variable_count, sorted_clauses, sorted_masks,
-                   unpack, variables)
+from .core import (bit_literal, bits, clause_falsifier, clause_key, falsify,
+                   flip, pack, pack_set, packed_variable_count,
+                   sorted_clauses, sorted_masks, unpack)
 from .errors import CapExceededError, IntegrityError
 from .primes import prime_implicates
 from .propagation import propagate_packed, sat_oracle
@@ -200,14 +200,57 @@ def _wid_unsat(g):
             return w
 
 
-def phd(f, cap_vars=12):
+def phd(f, cap_vars=24, primes=None):
     """p-hardness: smallest k where level-k propagation already computes
-    the saturation-level reduction under every partial assignment.
+    the saturation-level reduction under every partial assignment; f is
+    propagation-complete exactly when phd(f) <= 1.
 
-    Exhaustive over 3^n partial assignments; capped accordingly.
+    Unsatisfiable: hd(f).  Satisfiable: worst case over the prime
+    implicates C and literals x of C of the least level at which
+    propagation under the falsifier of C - {x} assigns x.
+    This is exact: a literal x forced under an assignment phi lies in a
+    prime C with C - {x} within the negation of phi, refutation by
+    level-k propagation survives extending the assignment (Kullmann
+    1999), and each falsifier of C - {x} is itself an assignment forcing
+    x.
     """
-    best, _ = _phd_with_witness(f, cap_vars=cap_vars)
-    return best
+    if not f:
+        return 0
+    sat, _ = sat_oracle(f, cap_vars=cap_vars)
+    return _phd_with_witness(f, sat, primes, {})[0]
+
+
+def _phd_with_witness(f, sat, primes, cache):
+    """(phd, the first assignment needing it) in the shape of
+    `_worst_falsifier`: the pairs (C, x) in canonical order, the witness
+    being the falsifier of C - {x}, or {} when f is unsatisfiable.  C - {x}
+    is no implicate, so its falsifier leaves f satisfiable and the level
+    of a pair is the least one assigning x.  It is climbed only when level
+    `best` does not assign x (higher levels assign a superset), so the
+    maximum is unchanged."""
+    g = pack_set(f)
+    if not sat:
+        return _min_refute_level(g, cache), {}
+    if primes is None:
+        primes = prime_implicates(f)
+    best = 0
+    witness = {}
+    for c in sorted_clauses(primes):
+        m = pack(c)
+        for b in bits(m):
+            h = falsify(g, m ^ b)
+            k, top = best, packed_variable_count(h)
+            while b not in propagate_packed(h, k, cache)[1]:
+                if k >= top:
+                    raise IntegrityError(
+                        "implied literal not forced at saturation",
+                        witness={"prime": list(clause_key(c)),
+                                 "literal": bit_literal(b)})
+                k += 1
+            if k > best:
+                best = k
+                witness = clause_falsifier(c - {bit_literal(b)})
+    return best, witness
 
 
 def res_lower_bound(whd_value, n):
@@ -226,7 +269,7 @@ class HardnessReport:
     witnesses: dict
 
 
-def hardness_report(f, cap_vars=12):
+def hardness_report(f):
     """All four measures plus per-measure certificates: the critical
     prime implicate for the sat-case maxima, the demanding partial
     assignment for p-hardness."""
@@ -243,7 +286,7 @@ def hardness_report(f, cap_vars=12):
     witnesses["whd"] = {"critical_prime": crit_whd, "level": v_whd}
     v_wid, crit_wid = _worst_falsifier(f, sat, primes, _wid_unsat)
     witnesses["wid"] = {"critical_prime": crit_wid, "level": v_wid}
-    v_phd, phi = _phd_with_witness(f, cap_vars=cap_vars)
+    v_phd, phi = _phd_with_witness(f, sat, primes, cache)
     witnesses["phd"] = {"assignment": phi, "level": v_phd}
     return HardnessReport(hd=v, whd=v_whd, wid=v_wid, phd=v_phd,
                           witnesses=witnesses)
@@ -267,36 +310,3 @@ def report_to_json(rep):
     doc = {"hd": rep.hd, "whd": rep.whd, "wid": rep.wid, "phd": rep.phd,
            "witnesses": {name: conv(w) for name, w in rep.witnesses.items()}}
     return json.dumps(doc, sort_keys=True, indent=1)
-
-
-def _phd_with_witness(f, cap_vars=12):
-    vs = sorted(variables(f))
-    if len(vs) > cap_vars:
-        raise CapExceededError(
-            "p-hardness enumeration capped at %d variables" % cap_vars)
-    packed = pack_set(f)
-    # per variable: (value, true literal, false literal) of unset, 0, 1
-    choices = [((None, 0, 0), (0, literal_bit(-v), literal_bit(v)),
-                (1, literal_bit(v), literal_bit(-v))) for v in vs]
-    cache = {}
-    seen = set()
-    best = 0
-    witness = {}
-    for values in itertools.product(*choices):
-        true = false = 0
-        for _, t, u in values:
-            true |= t
-            false |= u
-        g = instantiate(packed, true, false)
-        if g in seen:
-            continue
-        seen.add(g)
-        target = propagate_packed(g, packed_variable_count(g), cache)[0]
-        k = 0
-        while propagate_packed(g, k, cache)[0] != target:
-            k += 1
-        if k > best:
-            best = k
-            witness = {v: b for v, (b, _, _) in zip(vs, values)
-                       if b is not None}
-    return best, witness

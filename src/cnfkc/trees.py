@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import BOT, apply_assignment
-from .errors import ParseError
+from .errors import IntegrityError, ParseError
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,14 @@ def leaf_paths(t):
 def tree_to_clauses(t):
     """Clause-set of all path clauses (one per leaf)."""
     _check_labels(t)
-    paths = leaf_paths(t)
-    f = frozenset(paths.values())
-    if len(f) != len(paths):
-        raise AssertionError("distinct leaves share a path clause")
-    return f
+    leaf = {}
+    for addr, c in leaf_paths(t).items():
+        other = leaf.setdefault(c, addr)
+        if other != addr:
+            raise IntegrityError("distinct leaves share a path clause",
+                                 witness={"clause": sorted(c, key=abs),
+                                          "leaves": [other, addr]})
+    return frozenset(leaf)
 
 
 def clauses_to_tree(f):

@@ -166,7 +166,10 @@ def transversal_number_recursive(g, cap_nodes=2 ** 20):
         floor = len(chosen) + len(_disjoint_edges(uncovered))
         if floor >= len(state["best"]):
             return
-        e = min(uncovered, key=lambda x: (len(x), sorted(x)))
+        # the edges come deduped and sorted by (size, sorted vertices), and
+        # filtering keeps that order, so the first uncovered edge is the
+        # least one under that key
+        e = uncovered[0]
         for v in sorted(e, key=lambda v: (-freq[v], v)):
             walk(chosen + [v], [x for x in uncovered if v not in x])
 

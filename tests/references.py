@@ -2,14 +2,20 @@
 
 Each function here is the engine written literal by literal on frozenset
 clauses, with the same scan order, caps and results, so that the tests
-can compare the packed kernel against it for exact equality.
+can compare the packed kernel against it for exact equality.  Last,
+`phd_exhaustive` is p-hardness by its definition, the scan over every
+partial assignment that `hardness.phd` replaced.
 """
 
+import itertools
+
 from cnfkc.core import (BOT, apply_assignment, clause_falsifier, clause_key,
-                        literal_assignment, literals_of, resolvable, resolve,
-                        sorted_clauses)
+                        instantiate, literal_assignment, literal_bit,
+                        literals_of, pack_set, packed_variable_count,
+                        resolvable, resolve, sorted_clauses, variables)
 from cnfkc.errors import CapExceededError
-from cnfkc.propagation import REFUTED, PropagationResult, unit_propagate
+from cnfkc.propagation import (REFUTED, PropagationResult, propagate_packed,
+                               unit_propagate)
 
 
 def propagate_frozenset(f, k, cache=None, select=None):
@@ -177,3 +183,40 @@ def trigger_edges_frozenset(primes, k):
         edges.append(frozenset(i for i, d in enumerate(vs)
                                if not (d & neg) and len(d - c) <= k))
     return tuple(edges)
+
+
+def phd_exhaustive(f, cap_vars=12):
+    """p-hardness by its definition, with the first assignment needing it:
+    for each of the 3^n partial assignments phi (each variable unset, 0,
+    then 1, the last variable fastest), the least k with level-k
+    propagation of phi * f equal to the saturation level's."""
+    vs = sorted(variables(f))
+    if len(vs) > cap_vars:
+        raise CapExceededError(
+            "p-hardness enumeration capped at %d variables" % cap_vars)
+    packed = pack_set(f)
+    # per variable: (value, true literal, false literal) of unset, 0, 1
+    choices = [((None, 0, 0), (0, literal_bit(-v), literal_bit(v)),
+                (1, literal_bit(v), literal_bit(-v))) for v in vs]
+    cache = {}
+    seen = set()
+    best = 0
+    witness = {}
+    for values in itertools.product(*choices):
+        true = false = 0
+        for _, t, u in values:
+            true |= t
+            false |= u
+        g = instantiate(packed, true, false)
+        if g in seen:
+            continue
+        seen.add(g)
+        target = propagate_packed(g, packed_variable_count(g), cache)[0]
+        k = 0
+        while propagate_packed(g, k, cache)[0] != target:
+            k += 1
+        if k > best:
+            best = k
+            witness = {v: b for v, (b, _, _) in zip(vs, values)
+                       if b is not None}
+    return best, witness

@@ -106,16 +106,27 @@ def test_measure_empty_clause_set(tmp_path, capsys):
 
 
 def test_measure_reports_caps_per_measure(tmp_path, capsys):
+    # 25 variables: over the satisfiability oracle's default cap of 24
     path = tmp_path / "wide.cnf"
-    f = frozenset(clause([v]) for v in range(1, 15))
+    f = frozenset(clause([v]) for v in range(1, 26))
     path.write_text(emit_dimacs(f))
     code, out = run(capsys, "measure", str(path),
                     "--measures", "n,phd")
     assert code == 0
     report = json.loads(out)
-    assert report["n"] == 14
+    assert report["n"] == 25
     assert report["phd"] is None
     assert report["cap_exceeded"][0]["measure"] == "phd"
+
+
+def test_measure_phd_beyond_twelve_variables(tmp_path, capsys):
+    from cnfkc.cli import build_extremal_doped
+    path = tmp_path / "doped.cnf"
+    f = build_extremal_doped(1, 3)[1].doped
+    path.write_text(emit_dimacs(f))
+    code, out = run(capsys, "measure", str(path), "--measures", "n,phd")
+    assert code == 0
+    assert json.loads(out) == {"n": 13, "phd": 3}
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -181,12 +192,14 @@ def test_measure_computes_one_closure_and_only_when_needed(
     doped = tmp_path / "doped.cnf"
     doped.write_text(emit_dimacs(build_extremal_doped(1, 2)[1].doped))
     code, out = run(capsys, "measure", str(doped),
-                    "--measures", "hd,whd,wid,primes")
+                    "--measures", "hd,whd,wid,phd,primes")
     assert code == 0 and len(calls) == 1
-    assert json.loads(out) == {"hd": 2, "whd": 2, "wid": 2, "primes": 15}
+    assert json.loads(out) == {"hd": 2, "whd": 2, "wid": 2, "phd": 2,
+                               "primes": 15}
     unsat = tmp_path / "diff.cnf"
     unsat.write_text(emit_dimacs(DIFF))
-    code, out = run(capsys, "measure", str(unsat), "--measures", "hd,whd,wid")
+    code, out = run(capsys, "measure", str(unsat),
+                    "--measures", "hd,whd,wid,phd")
     assert code == 0 and len(calls) == 1
     assert json.loads(out)["hd"] == 3
 

@@ -8,10 +8,9 @@ node cap (`nu_k=10,nu_exact=False`), so it pins the search's node order.
 `kbase` (DIMACS plus sidecar), `measure`, `primes` (DIMACS plus sidecar)
 and `trigger`, and `report_to_json(hardness_report(f))`, which pins the
 critical primes.  Each section starts with a `$ ` line naming what made
-it.  The doped tree at (k=2, h=3) has 15 variables, too many for the
-p-hardness enumeration of the report, and its `kbase --k 0/1` and
-`trigger --k 1` take seconds to tens of seconds, so it pins only
-`kbase --k 2`, `measure` and `primes`.
+it.  The doped tree at (k=2, h=3) pins only `kbase --k 2`, `measure`
+and `primes`: its `kbase --k 0/1` and `trigger --k 1` take seconds to
+tens of seconds.  Its report (about 0.1 s) is not pinned yet.
 """
 
 import os

@@ -1,12 +1,16 @@
 import math
 import random
 
+from hypothesis import given, settings
+
 from cnfkc.core import BOT, apply_assignment, clause, variables
 from cnfkc.hardness import (hardness_report, hd, k_res_refutes, phd,
                             res_lower_bound, whd, wid, width_refutes)
-from cnfkc.propagation import sat_oracle
+from cnfkc.propagation import propagate, sat_oracle
 
 import oracles
+import references
+from strategies import clause_list_examples, clause_lists
 
 
 def cs(*clauses):
@@ -71,6 +75,61 @@ def test_phd_examples():
     assert phd(frozenset()) == 0
     chain = cs([1, -2], [2, -3], [3, 1])
     assert phd(chain) == 2 and hd(chain) == 1
+
+
+def _phd_witness_is_tight(f, rep):
+    """At the reported level, propagation under the witness reaches the
+    saturation level's reduction, and one level lower it does not.  The
+    report of TOP has no witnesses."""
+    phi = rep.witnesses["phd"]["assignment"] if f else {}
+    g = apply_assignment(phi, f)
+    target = propagate(g, len(variables(g))).reduced
+    if rep.phd == 0:
+        return propagate(g, 0).reduced == target
+    return (propagate(g, rep.phd - 1).reduced != target
+            and propagate(g, rep.phd).reduced == target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clause_lists())
+@clause_list_examples
+def test_phd_matches_the_exhaustive_reference(clauses):
+    f = frozenset(clauses)
+    rep = hardness_report(f)
+    assert phd(f) == rep.phd == references.phd_exhaustive(f)[0]
+    assert _phd_witness_is_tight(f, rep)
+
+
+def test_phd_matches_the_exhaustive_reference_on_seven_variables():
+    rng = random.Random(36)
+    for _ in range(60):
+        f = frozenset(
+            clause(v * rng.choice((1, -1))
+                   for v in rng.sample(range(1, 8), rng.randint(1, 4)))
+            for _ in range(rng.randint(4, 14)))
+        assert phd(f) == references.phd_exhaustive(f)[0]
+
+
+def test_phd_on_named_families_matches_the_exhaustive_reference():
+    from cnfkc.cli import build_extremal_doped, build_horn_chain
+    family = [build_extremal_doped(0, h)[1].doped for h in (2, 3, 4)]
+    family.append(build_extremal_doped(1, 2)[1].doped)
+    family += [build_horn_chain(h).doped for h in (2, 3, 4)]
+    for f in family:
+        rep = hardness_report(f)
+        assert rep.phd == references.phd_exhaustive(f)[0] == 2
+        assert _phd_witness_is_tight(f, rep)
+
+
+def test_doped_trees_are_uc_but_not_pc():
+    # the paper's UC-vs-PC separation: hd = 1 (unit-refutation complete)
+    # with phd = 2 (not propagation complete)
+    from cnfkc.cli import build_extremal_doped
+    for h in range(2, 7):
+        f = build_extremal_doped(0, h)[1].doped
+        assert hd(f) == 1 and phd(f) == 2
+    for k, h in ((1, 3), (2, 3)):
+        assert phd(build_extremal_doped(k, h)[1].doped) == 3
 
 
 def test_hd_matches_definition_oracle():

@@ -2,11 +2,12 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from cnfkc.core import (BOT, TOP, apply_assignment, bit_literal, bits,
-                        clause, flip, literal_bit, pack, pack_set,
-                        sorted_clauses, sorted_masks, unpack, unpack_set)
+from cnfkc.core import (BOT, TOP, _mask_key, apply_assignment, bit_literal,
+                        bits, clause, clause_key, flip, literal_bit, pack,
+                        pack_set, sorted_clauses, sorted_masks, unpack,
+                        unpack_set)
 from cnfkc.errors import CapExceededError
 from cnfkc.hardness import hd, hd_at_most, k_res_refutes, width_refutes
 from cnfkc.primes import implies, prime_implicates
@@ -41,6 +42,20 @@ def test_bit_order_is_the_canonical_literal_order():
     assert flip(pack([1, -2, 1000])) == pack([-1, 2, -1000])
     assert pack(BOT) == 0 and unpack(0) == BOT
     assert [bit_literal(b) for b in bits(pack([-7, 3, -1]))] == [-1, 3, -7]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(1, 12) | st.integers(13, 2000),
+                                st.sampled_from((1, -1)), max_size=6),
+                max_size=12))
+def test_sorted_masks_is_the_sorted_clauses_order(drawn):
+    f = frozenset(frozenset(v * s for v, s in c.items()) for c in drawn)
+    assert [unpack(m) for m in sorted_masks(pack_set(f))] == \
+        sorted_clauses(f)
+    for c in f:
+        for d in f:
+            assert (_mask_key(pack(c)) < _mask_key(pack(d))) == \
+                ((len(c), clause_key(c)) < (len(d), clause_key(d)))
 
 
 def _reversed(cands):

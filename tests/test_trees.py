@@ -1,7 +1,7 @@
 import random
 
 from cnfkc.core import BOT, apply_assignment, clause, variables
-from cnfkc.errors import ParseError
+from cnfkc.errors import IntegrityError, ParseError
 from cnfkc.hardness import hd
 from cnfkc.mpsdope import dope
 from cnfkc.trees import (LEAF, Inner, alpha, apply_literal_to_tree,
@@ -210,6 +210,17 @@ def test_duplicate_labels_rejected():
     bad = Inner(1, Inner(1, LEAF, LEAF), LEAF)
     with pytest.raises(ParseError):
         tree_to_clauses(bad)
+
+
+def test_shared_path_clause_is_an_integrity_error(monkeypatch):
+    # unreachable through _check_labels, so fake the paths
+    import cnfkc.trees
+    monkeypatch.setattr(cnfkc.trees, "leaf_paths",
+                        lambda t: {"0": clause([1]), "1": clause([1])})
+    with pytest.raises(IntegrityError) as err:
+        tree_to_clauses(Inner(1, LEAF, LEAF))
+    assert err.value.exit_code == 4
+    assert err.value.witness == {"clause": [1], "leaves": ["0", "1"]}
 
 
 def test_hd_equals_hs_small():
