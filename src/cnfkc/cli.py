@@ -16,7 +16,7 @@ from .errors import CapExceededError, CnfError, IntegrityError, ParseError
 from .hardness import hd, phd, whd, wid
 from .mpsdope import dope, mps_enumerate, mps_via_doping
 from .primes import prime_implicates, prime_report
-from .propagation import sat_oracle
+from .propagation import REFUTED, sat_oracle
 from .trees import (extremal_tree, leaf_paths, tree_stats, tree_to_clauses,
                     tree_to_term)
 from .trigger import (hypergraph_to_json, matching_number,
@@ -162,7 +162,8 @@ def cmd_measure(args, cfg):
                     "phd", "primes", "mps"])
     cap_vars = _setting(args, cfg, "cap_vars", 24)
     # one closure for hd, whd, wid, phd and primes, computed on first use;
-    # hd, whd, wid and phd read it only when f is satisfiable
+    # hd, whd, wid and phd need none for unsatisfiable f, whose closure
+    # is REFUTED
     closure = functools.cache(lambda: prime_implicates(f))
     satisfiable = functools.cache(lambda: sat_oracle(f, cap_vars)[0])
     report = {}
@@ -175,8 +176,7 @@ def cmd_measure(args, cfg):
                 report[name] = base[name]
             elif name in worst_case:
                 report[name] = worst_case[name](
-                    f, cap_vars=cap_vars,
-                    primes=closure() if satisfiable() else None)
+                    f, primes=closure() if satisfiable() else REFUTED)
             elif name == "primes":
                 report[name] = len(closure())
             elif name == "mps":

@@ -5,12 +5,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (bit_literal, bits, clause_falsifier, clause_key, falsify,
-                   flip, pack, pack_set, packed_variable_count,
+from .core import (BOT, bit_literal, bits, clause_falsifier, clause_key,
+                   falsify, flip, pack, pack_set, packed_variable_count,
                    sorted_clauses, sorted_masks, unpack)
 from .errors import CapExceededError, IntegrityError
 from .primes import prime_implicates
-from .propagation import propagate_packed, sat_oracle
+from .propagation import REFUTED, propagate_packed, sat_oracle
 
 
 def k_res_refutes(f, k, cap_clauses=200000, want_trace=False):
@@ -28,11 +28,19 @@ def k_res_refutes(f, k, cap_clauses=200000, want_trace=False):
 
 def k_res_packed(order, k, cap_clauses=200000, want_trace=False):
     """`k_res_refutes` on packed clauses given in `sorted_masks` order,
-    with a packed trace.
+    with a packed trace."""
+    return _bounded_resolution(order, k, math.inf, cap_clauses, want_trace)
 
-    Clauses are taken in that order, each resolved against every earlier
-    one in order (only the clauses of size <= k when it is larger), and
-    resolvents join the end of a copy of the order.
+
+def _bounded_resolution(order, k, w, cap_clauses, want_trace=False):
+    """Resolution where, in every step, one parent has at most k literals
+    and every clause at most w: (refuted, packed trace when requested).
+
+    Clauses are taken in `order`, each resolved against every earlier one
+    in order (only the clauses of size <= k when it is larger), and
+    resolvents of size <= w join the end of a copy of the order.  With
+    k = w and every clause of `order` within w literals, every clause is
+    short: this is width-w resolution.
     """
     order = list(order)
     seen = dict.fromkeys(order)
@@ -50,7 +58,7 @@ def k_res_packed(order, k, cap_clauses=200000, want_trace=False):
             if not clash or clash & (clash - 1):
                 continue
             r = (c | d) & ~(3 << ((clash.bit_length() - 1) & ~1))
-            if r in seen:
+            if r.bit_count() > w or r in seen:
                 continue
             seen[r] = (c, d)
             order.append(r)
@@ -60,8 +68,9 @@ def k_res_packed(order, k, cap_clauses=200000, want_trace=False):
             small.append(i)
         i += 1
         if len(order) > cap_clauses:
+            what = "bounded" if w == math.inf else "width-bounded"
             raise CapExceededError(
-                "bounded resolution exceeded %d clauses" % cap_clauses)
+                "%s resolution exceeded %d clauses" % (what, cap_clauses))
     return False, None
 
 
@@ -89,31 +98,8 @@ def width_refutes(f, w, cap_clauses=200000):
 
 def width_packed(order, w, cap_clauses=200000):
     """`width_refutes` on packed clauses given in `sorted_masks` order."""
-    order = [c for c in order if c.bit_count() <= w]
-    seen = set(order)
-    if 0 in seen:
-        return True
-    i = 0
-    while i < len(order):
-        c = order[i]
-        neg = flip(c)
-        for j in range(i):
-            d = order[j]
-            clash = neg & d
-            if not clash or clash & (clash - 1):
-                continue
-            r = (c | d) & ~(3 << ((clash.bit_length() - 1) & ~1))
-            if r.bit_count() > w or r in seen:
-                continue
-            seen.add(r)
-            order.append(r)
-            if not r:
-                return True
-        i += 1
-        if len(order) > cap_clauses:
-            raise CapExceededError(
-                "width-bounded resolution exceeded %d clauses" % cap_clauses)
-    return False
+    return _bounded_resolution([c for c in order if c.bit_count() <= w],
+                               w, w, cap_clauses)[0]
 
 
 def _min_refute_level(g, cache):
@@ -126,18 +112,27 @@ def _min_refute_level(g, cache):
     raise IntegrityError("unsatisfiable input not refuted at saturation")
 
 
-def _worst_falsifier(f, sat, primes, measure):
+def _closure(f, cap_vars, primes):
+    """f's prime closure: `primes` when given, else computed once the
+    DPLL finds f satisfiable, else REFUTED.  It holds BOT exactly when f
+    is unsatisfiable (see `prime_implicates`)."""
+    if primes is not None:
+        return primes
+    return prime_implicates(f) if sat_oracle(f, cap_vars)[0] else REFUTED
+
+
+def _worst_falsifier(f, primes, measure):
     """(value, critical prime) of `measure`, defined on unsatisfiable
-    packed clause-sets: for unsatisfiable f, its own measure and no prime;
-    else the worst case over the falsifiers of the primes (computed when
-    None), with the first critical prime in canonical order."""
+    packed clause-sets, given f's prime closure: for unsatisfiable f, its
+    own measure and no prime; else the worst case over the falsifiers of
+    the primes, with the first critical prime in canonical order (0 and
+    none for TOP, which has no primes)."""
     g = pack_set(f)
-    if not sat:
+    if BOT in primes:
         return measure(g), None
-    if primes is None:
-        primes = prime_implicates(f)
     return max(((measure(falsify(g, pack(c))), c)
-                for c in sorted_clauses(primes)), key=lambda vc: vc[0])
+                for c in sorted_clauses(primes)),
+               key=lambda vc: vc[0], default=(0, None))
 
 
 def hd(f, cap_vars=24, primes=None):
@@ -147,11 +142,8 @@ def hd(f, cap_vars=24, primes=None):
     worst case over the prime implicates c of the level needed to refute
     the instantiation by the falsifier of c.
     """
-    if not f:
-        return 0
     cache = {}
-    sat, _ = sat_oracle(f, cap_vars=cap_vars)
-    return _worst_falsifier(f, sat, primes,
+    return _worst_falsifier(f, _closure(f, cap_vars, primes),
                             lambda g: _min_refute_level(g, cache))[0]
 
 
@@ -166,10 +158,7 @@ def hd_at_most(f, k, primes, cache=None):
 
 def whd(f, cap_vars=24, primes=None):
     """Asymmetric width: one resolution parent bounded per step."""
-    if not f:
-        return 0
-    sat, _ = sat_oracle(f, cap_vars=cap_vars)
-    return _worst_falsifier(f, sat, primes, _whd_unsat)[0]
+    return _worst_falsifier(f, _closure(f, cap_vars, primes), _whd_unsat)[0]
 
 
 def _whd_unsat(g):
@@ -187,10 +176,7 @@ def whd_at_most(f, k, primes):
 
 def wid(f, cap_vars=24, primes=None):
     """Symmetric width: every clause of the refutation bounded."""
-    if not f:
-        return 0
-    sat, _ = sat_oracle(f, cap_vars=cap_vars)
-    return _worst_falsifier(f, sat, primes, _wid_unsat)[0]
+    return _worst_falsifier(f, _closure(f, cap_vars, primes), _wid_unsat)[0]
 
 
 def _wid_unsat(g):
@@ -214,25 +200,20 @@ def phd(f, cap_vars=24, primes=None):
     1999), and each falsifier of C - {x} is itself an assignment forcing
     x.
     """
-    if not f:
-        return 0
-    sat, _ = sat_oracle(f, cap_vars=cap_vars)
-    return _phd_with_witness(f, sat, primes, {})[0]
+    return _phd_with_witness(f, _closure(f, cap_vars, primes), {})[0]
 
 
-def _phd_with_witness(f, sat, primes, cache):
+def _phd_with_witness(f, primes, cache):
     """(phd, the first assignment needing it) in the shape of
     `_worst_falsifier`: the pairs (C, x) in canonical order, the witness
-    being the falsifier of C - {x}, or {} when f is unsatisfiable.  C - {x}
-    is no implicate, so its falsifier leaves f satisfiable and the level
-    of a pair is the least one assigning x.  It is climbed only when level
-    `best` does not assign x (higher levels assign a superset), so the
-    maximum is unchanged."""
+    being the falsifier of C - {x}, or {} when f is unsatisfiable or TOP.
+    C - {x} is no implicate, so its falsifier leaves f satisfiable and the
+    level of a pair is the least one assigning x.  It is climbed only when
+    level `best` does not assign x (higher levels assign a superset), so
+    the maximum is unchanged."""
     g = pack_set(f)
-    if not sat:
+    if BOT in primes:
         return _min_refute_level(g, cache), {}
-    if primes is None:
-        primes = prime_implicates(f)
     best = 0
     witness = {}
     for c in sorted_clauses(primes):
@@ -273,23 +254,17 @@ def hardness_report(f):
     """All four measures plus per-measure certificates: the critical
     prime implicate for the sat-case maxima, the demanding partial
     assignment for p-hardness."""
-    witnesses = {}
-    if not f:
-        return HardnessReport(0, 0, 0, 0, witnesses)
-    sat, _ = sat_oracle(f, cap_vars=24)
-    primes = prime_implicates(f) if sat else None
+    primes = _closure(f, 24, None)
     cache = {}
-    v, crit = _worst_falsifier(f, sat, primes,
-                               lambda g: _min_refute_level(g, cache))
-    witnesses["hd"] = {"critical_prime": crit, "level": v}
-    v_whd, crit_whd = _worst_falsifier(f, sat, primes, _whd_unsat)
-    witnesses["whd"] = {"critical_prime": crit_whd, "level": v_whd}
-    v_wid, crit_wid = _worst_falsifier(f, sat, primes, _wid_unsat)
-    witnesses["wid"] = {"critical_prime": crit_wid, "level": v_wid}
-    v_phd, phi = _phd_with_witness(f, sat, primes, cache)
-    witnesses["phd"] = {"assignment": phi, "level": v_phd}
-    return HardnessReport(hd=v, whd=v_whd, wid=v_wid, phd=v_phd,
-                          witnesses=witnesses)
+    witnesses = {}
+    for name, measure in (("hd", lambda g: _min_refute_level(g, cache)),
+                          ("whd", _whd_unsat), ("wid", _wid_unsat)):
+        level, crit = _worst_falsifier(f, primes, measure)
+        witnesses[name] = {"critical_prime": crit, "level": level}
+    level, phi = _phd_with_witness(f, primes, cache)
+    witnesses["phd"] = {"assignment": phi, "level": level}
+    levels = {name: w["level"] for name, w in witnesses.items()}
+    return HardnessReport(witnesses=witnesses, **levels)
 
 
 def report_to_json(rep):

@@ -188,20 +188,36 @@ def _count_closures(monkeypatch):
 def test_measure_computes_one_closure_and_only_when_needed(
         tmp_path, capsys, monkeypatch):
     from cnfkc.cli import build_extremal_doped
+    import cnfkc.propagation
     calls = _count_closures(monkeypatch)
+    dpll = []
+    real_sat = cnfkc.propagation.sat_packed
+
+    def counted_sat(*args, **kwargs):
+        dpll.append(args[0])
+        return real_sat(*args, **kwargs)
+
+    monkeypatch.setattr(cnfkc.propagation, "sat_packed", counted_sat)
     doped = tmp_path / "doped.cnf"
     doped.write_text(emit_dimacs(build_extremal_doped(1, 2)[1].doped))
     code, out = run(capsys, "measure", str(doped),
                     "--measures", "hd,whd,wid,phd,primes")
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and len(calls) == 1 and len(dpll) == 1
     assert json.loads(out) == {"hd": 2, "whd": 2, "wid": 2, "phd": 2,
                                "primes": 15}
     unsat = tmp_path / "diff.cnf"
     unsat.write_text(emit_dimacs(DIFF))
     code, out = run(capsys, "measure", str(unsat),
                     "--measures", "hd,whd,wid,phd")
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and len(calls) == 1 and len(dpll) == 2
     assert json.loads(out)["hd"] == 3
+    # one satisfiability decision per input, shared by all four measures
+    g6 = tmp_path / "g6.cnf"
+    g6.write_text(emit_dimacs(build_g_n(6)))
+    code, out = run(capsys, "measure", str(g6),
+                    "--measures", "hd,whd,wid,phd")
+    assert code == 0 and len(calls) == 1 and len(dpll) == 3
+    assert json.loads(out) == {"hd": 1, "whd": 1, "wid": 6, "phd": 1}
 
 
 def test_primes_command(tmp_path, capsys):

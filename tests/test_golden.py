@@ -8,9 +8,9 @@ node cap (`nu_k=10,nu_exact=False`), so it pins the search's node order.
 `kbase` (DIMACS plus sidecar), `measure`, `primes` (DIMACS plus sidecar)
 and `trigger`, and `report_to_json(hardness_report(f))`, which pins the
 critical primes.  Each section starts with a `$ ` line naming what made
-it.  The doped tree at (k=2, h=3) pins only `kbase --k 2`, `measure`
-and `primes`: its `kbase --k 0/1` and `trigger --k 1` take seconds to
-tens of seconds.  Its report (about 0.1 s) is not pinned yet.
+it.  The doped tree at (k=2, h=3) pins only `kbase --k 2`, `measure`,
+`primes` and the report (about 0.1 s): its `kbase --k 0/1` and
+`trigger --k 1` take seconds to tens of seconds.
 """
 
 import os
@@ -61,7 +61,7 @@ CORPUS = {
     "doped-k0-h2": (build_extremal_doped(0, 2)[1].doped, COMMANDS, True),
     "doped-k1-h2": (build_extremal_doped(1, 2)[1].doped, COMMANDS, True),
     "doped-k2-h3": (build_extremal_doped(2, 3)[1].doped,
-                    (COMMANDS[2], COMMANDS[3], COMMANDS[4]), False),
+                    (COMMANDS[2], COMMANDS[3], COMMANDS[4]), True),
     "random-s1-n6": (random_cnf(1, 6, 8), COMMANDS, True),
     "random-s3-n7": (random_cnf(3, 7, 10), COMMANDS, True),
 }

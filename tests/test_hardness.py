@@ -2,8 +2,10 @@ import math
 import random
 
 from hypothesis import given, settings
+import pytest
 
 from cnfkc.core import BOT, apply_assignment, clause, variables
+from cnfkc.errors import CapExceededError
 from cnfkc.hardness import (hardness_report, hd, k_res_refutes, phd,
                             res_lower_bound, whd, wid, width_refutes)
 from cnfkc.propagation import propagate, sat_oracle
@@ -79,9 +81,8 @@ def test_phd_examples():
 
 def _phd_witness_is_tight(f, rep):
     """At the reported level, propagation under the witness reaches the
-    saturation level's reduction, and one level lower it does not.  The
-    report of TOP has no witnesses."""
-    phi = rep.witnesses["phd"]["assignment"] if f else {}
+    saturation level's reduction, and one level lower it does not."""
+    phi = rep.witnesses["phd"]["assignment"]
     g = apply_assignment(phi, f)
     target = propagate(g, len(variables(g))).reduced
     if rep.phd == 0:
@@ -190,6 +191,27 @@ def test_res_lower_bound():
     assert abs(b - math.e) < 1e-9
     assert abs(res_lower_bound(1, 1) - 1.1331484) < 1e-6
     assert abs(res_lower_bound(4, 4) - math.exp(0.5)) < 1e-12
+
+
+def test_report_of_top_has_the_witnesses_of_bot():
+    for f in (frozenset(), frozenset([BOT])):
+        rep = hardness_report(f)
+        assert (rep.hd, rep.whd, rep.wid, rep.phd) == (0, 0, 0, 0)
+        for name in ("hd", "whd", "wid"):
+            assert rep.witnesses[name] == {"critical_prime": None,
+                                           "level": 0}
+        assert rep.witnesses["phd"] == {"assignment": {}, "level": 0}
+
+
+def test_given_primes_decide_satisfiability_without_the_oracle():
+    # the closure holds BOT exactly when f is unsatisfiable, so no DPLL
+    # runs and its variable cap does not apply
+    units = frozenset(clause([v]) for v in range(1, 31))
+    with pytest.raises(CapExceededError):
+        hd(units)
+    assert [measure(units, primes=units)
+            for measure in (hd, whd, wid, phd)] == [0, 0, 0, 1]
+    assert hd(DIFF, primes=frozenset([BOT])) == 3
 
 
 def test_report_contains_witnesses():

@@ -125,9 +125,11 @@ def test_implies_caps_the_instantiated_variables():
 
 def test_saturation_caps_still_apply():
     f = frozenset(clause([v, -(v + 1)]) for v in range(1, 30))
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError,
+                       match="^bounded resolution exceeded 40 clauses$"):
         k_res_refutes(f, 2, cap_clauses=40)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError,
+                       match="^width-bounded resolution exceeded 40 clauses$"):
         width_refutes(f, 2, cap_clauses=40)
 
 
