@@ -14,16 +14,15 @@ from .core import (clause, clause_key, emit_dimacs, measures,
                    parse_dimacs_document, sorted_clauses)
 from .errors import CapExceededError, CnfError, IntegrityError, ParseError
 from .hardness import hd, phd, whd, wid
-from .mpsdope import dope, mps_enumerate, mps_via_doping
+from .mpsdope import dope, mps_enumerate, mps_via_doping, pure_clause
 from .primes import prime_implicates, prime_report
 from .propagation import REFUTED, sat_oracle
-from .trees import (extremal_tree, leaf_paths, tree_stats, tree_to_clauses,
-                    tree_to_term)
-from .trigger import (hypergraph_to_json, matching_number,
+from .trees import (doped_clause_of_leafset, extremal_tree, tree_stats,
+                    tree_to_clauses, tree_to_term)
+from .trigger import (MinEquivResult, hypergraph_to_json, matching_number,
                       min_equivalent_size, sperner_witness,
                       transversal_number, trigger_hypergraph,
                       extremal_sperner_bound)
-from .trees import doped_clause_of_leafset
 
 
 def build_extremal_doped(k, h):
@@ -359,7 +358,8 @@ def separation_row(k, h, cap_primes=18, cap_nodes=2 ** 20):
                                  tau=tau)
     else:
         floor = max(tau.lower_bound, len(rep.essential))
-        me = _bound_only(floor)
+        me = MinEquivResult(size=floor, representative=frozenset(),
+                            exact=False, lower_bound=floor)
     if me.exact:
         if not (nu_value <= tau.value <= me.size):
             raise IntegrityError(
@@ -372,12 +372,6 @@ def separation_row(k, h, cap_primes=18, cap_nodes=2 ** 20):
         nu_k=nu_value, nu_exact=nu_exact,
         sperner_bound=bound,
         min_equiv=me.size, min_equiv_exact=me.exact)
-
-
-def _bound_only(floor):
-    from .trigger import MinEquivResult
-    return MinEquivResult(size=floor, representative=frozenset(),
-                          exact=False, lower_bound=floor)
 
 
 def _parse_range(text):
@@ -422,7 +416,6 @@ def cmd_selftest(args, cfg):
     """Re-derive a few worked results end to end; exit 4 on any miss."""
     checks = []
     pure_in = frozenset([clause([1, 2]), clause([-1, -3])])
-    from .mpsdope import pure_clause
     checks.append(("pure clause of a two-clause set",
                    pure_clause(pure_in) == frozenset([2, -3])))
     t = extremal_tree(2, 2)

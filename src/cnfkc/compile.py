@@ -4,11 +4,11 @@ knowledge-compilation query suite."""
 import itertools
 from dataclasses import dataclass
 
-from .core import (TOP, apply_assignment, clause_key, falsify, flip,
-                   instantiate, literal_bit, pack, pack_set, sorted_clauses,
-                   sorted_masks, subsumption_eliminate, variables)
+from .core import (TOP, apply_assignment, falsify, flip, instantiate,
+                   literal_bit, pack, pack_set, sorted_clauses, sorted_masks,
+                   subsumption_eliminate, unpack, unpack_set, variables)
 from .errors import CapExceededError, IntegrityError, ParseError
-from .hardness import hd_at_most, k_res_packed
+from .hardness import hd_at_most, k_res_packed, whd
 from .mpsdope import pure_clause
 from .primes import entails, essential_primes, implies
 
@@ -23,21 +23,26 @@ class KBase:
 
 
 def equivalent_subset(sub, primes):
-    """Does the subset `sub` of the prime implicates entail all of them?"""
-    g = pack_set(sub)
-    return all(entails(g, pack(c)) for c in primes - sub)
+    """Does the subset `sub` of the packed prime implicates entail all
+    of them?"""
+    return all(entails(sub, c) for c in primes - sub)
 
 
 def greedy_base(order, ess, level):
-    """(base, added, removed) for the primes listed in `order`: from the
-    essential primes `ess`, add primes in `order` until the subset is
-    equivalent to all of them and `level` holds, then remove
-    non-essential primes by descending size while both still hold,
-    sweeping to a fixpoint.  Essential primes are never tried: no subset
-    without one is equivalent to the primes.  The sweep keeps `current`
-    equivalent, so `current - {c}` is equivalent iff it entails c."""
+    """(base, added, removed) for the packed primes listed in `order`, in
+    `sorted_masks` order: from the essential primes `ess`, add primes in
+    `order` until the subset is equivalent to all of them and `level`
+    holds, then sweep once over the non-essential primes by descending
+    size, removing each while both still hold.  Essential primes are
+    never tried: no subset without one is equivalent to the primes.  The
+    sweep keeps `current` equivalent, so `current - {c}` is equivalent
+    iff it entails c.
+
+    One sweep leaves no prime removable, provided `level` is monotone
+    under adding clauses, as entailment is: a prime kept against some
+    `current` stays kept against every later, smaller one."""
     primes = frozenset(order)
-    current = frozenset(ess)
+    current = ess
     added = []
     for c in order:
         if equivalent_subset(current, primes) and level(current):
@@ -45,16 +50,14 @@ def greedy_base(order, ess, level):
         if c not in current:
             current |= {c}
             added.append(c)
+    spare = current - ess
     removed = []
-    changed = True
-    while changed:
-        changed = False
-        for c in sorted(current - ess, key=lambda c: (-len(c), clause_key(c))):
-            trial = current - {c}
-            if entails(pack_set(trial), pack(c)) and level(trial):
-                current = trial
-                removed.append(c)
-                changed = True
+    for c in sorted([c for c in order if c in spare], key=int.bit_count,
+                    reverse=True):
+        trial = current - {c}
+        if entails(trial, c) and level(trial):
+            current = trial
+            removed.append(c)
     return current, added, removed
 
 
@@ -76,38 +79,39 @@ def k_base(primes, k, mode="heuristic", cap_primes=18):
 
     Heuristic: seed with the essential primes, add the rest by ascending
     size until the subset is equivalent and within hardness k, then sweep
-    removals by descending size (repeated to a fixpoint) so the result is
-    minimal clause-wise.  Exhaustive mode instead scans subsets by
-    ascending size for a true minimum.
+    removals once by descending size so the result is minimal
+    clause-wise.  Exhaustive mode instead scans subsets by ascending size
+    for a true minimum.
     """
     primes = frozenset(primes)
-    order = sorted_clauses(primes)
-    ess = essential_primes(primes, primes=primes)
+    g = pack_set(primes)
+    order = sorted_masks(g)
+    ess = pack_set(essential_primes(primes, primes=primes))
 
     def level(sub):
-        return hd_at_most(sub, k, primes)
+        return hd_at_most(sub, k, g)
 
     def good(sub):
-        return equivalent_subset(sub, primes) and level(sub)
+        return equivalent_subset(sub, g) and level(sub)
 
     if mode == "exhaustive":
         # every equivalent subset contains all essential primes, so a
         # good essential core is already the unique minimum
         if good(ess):
-            return KBase(clauses=ess, level=k)
+            return KBase(clauses=unpack_set(ess), level=k)
         if len(order) > cap_primes:
             raise CapExceededError(
                 "exhaustive base search capped at %d primes" % cap_primes)
-        return KBase(clauses=smallest_base(order, ess, good, len(ess) + 1),
-                     level=k)
+        return KBase(clauses=unpack_set(
+            smallest_base(order, ess, good, len(ess) + 1)), level=k)
 
     # an equivalent-but-too-hard essential core would be noteworthy; the
     # flag records whether additions started from an equivalent set
-    anomaly = (equivalent_subset(ess, primes)
-               and not hd_at_most(ess, k, primes))
+    anomaly = equivalent_subset(ess, g) and not level(ess)
     base, added, removed = greedy_base(order, ess, level)
-    return KBase(clauses=base, level=k, added=tuple(added),
-                 removed=tuple(removed), anomaly=anomaly)
+    return KBase(clauses=unpack_set(base), level=k,
+                 added=tuple(map(unpack, added)),
+                 removed=tuple(map(unpack, removed)), anomaly=anomaly)
 
 
 def canon_primes(f, big_k, cap_subsets=2 ** 22):
@@ -142,7 +146,6 @@ def answer_query(kind, f, k, clause=None, assignment=None, other=None,
     model enumeration raises an integrity error naming the witness.
     """
     if verify:
-        from .hardness import whd
         if whd(f) > k:
             raise IntegrityError("input exceeds asymmetric width %d" % k)
     if kind == "CO":

@@ -33,10 +33,6 @@ def clause(literals):
     return c
 
 
-def clause_set(clauses):
-    return frozenset(clause(c) for c in clauses)
-
-
 def variables(f):
     """Set of variables occurring in clause-set f."""
     return {abs(x) for c in f for x in c}
@@ -172,9 +168,13 @@ def union(g):
     return u
 
 
+def variable_bits(m):
+    """The positive-literal bit of every variable of the packed clause m."""
+    return (m | m >> 1) & _even_bits(m)
+
+
 def packed_variable_count(g):
-    u = union(g)
-    return ((u | u >> 1) & _even_bits(u)).bit_count()
+    return variable_bits(union(g)).bit_count()
 
 
 def instantiate(g, true, false):

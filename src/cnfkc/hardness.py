@@ -2,6 +2,7 @@
 symmetric width, and the width-based resolution size bound."""
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -147,12 +148,12 @@ def hd(f, cap_vars=24, primes=None):
                             lambda g: _min_refute_level(g, cache))[0]
 
 
-def hd_at_most(f, k, primes, cache=None):
-    """Fast check hd(f) <= k for satisfiable f with known prime implicates."""
+def hd_at_most(g, k, primes, cache=None):
+    """Fast check hd(g) <= k for the satisfiable packed clause-set g,
+    given its packed prime implicates."""
     if cache is None:
         cache = {}
-    g = pack_set(f)
-    return all(0 in propagate_packed(falsify(g, pack(c)), k, cache)[0]
+    return all(0 in propagate_packed(falsify(g, c), k, cache)[0]
                for c in primes)
 
 
@@ -168,9 +169,10 @@ def _whd_unsat(g):
             return k
 
 
-def whd_at_most(f, k, primes):
-    g = pack_set(f)
-    return all(k_res_packed(sorted_masks(falsify(g, pack(c))), k)[0]
+def whd_at_most(g, k, primes):
+    """Fast check whd(g) <= k for the satisfiable packed clause-set g,
+    given its packed prime implicates."""
+    return all(k_res_packed(sorted_masks(falsify(g, c)), k)[0]
                for c in primes)
 
 
@@ -268,8 +270,6 @@ def hardness_report(f):
 
 
 def report_to_json(rep):
-    import json
-
     def conv(w):
         out = {}
         for key, value in w.items():

@@ -8,11 +8,11 @@ premise sets of f, with the doping variables naming the members.
 import itertools
 from dataclasses import dataclass
 
-from .core import (assignment_satisfies, clause_falsifier, literals_of,
-                   sorted_clauses, variables)
+from .core import (bits, literals_of, pack, pack_set, sorted_clauses, union,
+                   variable_bits, variables)
 from .errors import CapExceededError
 from .primes import implies, prime_implicates
-from .propagation import sat_oracle
+from .propagation import sat_packed
 
 
 def pure_clause(f):
@@ -30,41 +30,22 @@ class MuFlags:
 
 def classify_mu(f, cap_vars=24):
     """Minimal, saturated, and deficiency-1 saturated unsatisfiability."""
-    ok, _ = sat_oracle(f, cap_vars=cap_vars)
-    if ok:
+    return classify_mu_packed(pack_set(f), cap_vars)
+
+
+def classify_mu_packed(g, cap_vars=24):
+    """`classify_mu` on the packed clause-set g."""
+    if sat_packed(g, cap_vars) is not None:
         return MuFlags(False, False, False)
-    mu = all(sat_oracle(f - {c}, cap_vars=cap_vars)[0] for c in f)
-    smu = mu
-    if mu:
-        vs = variables(f)
-        for c in f:
-            rest = f - {c}
-            for v in sorted(vs - {abs(x) for x in c}):
-                for x in (v, -v):
-                    widened = rest | {c | {x}}
-                    if not sat_oracle(widened, cap_vars=cap_vars)[0]:
-                        smu = False
-                        break
-                if not smu:
-                    break
-            if not smu:
-                break
-    delta = len(f) - len(variables(f))
+    mu = all(sat_packed(g - {m}, cap_vars) is not None for m in g)
+    # saturated: widening any clause by a literal of another variable
+    # makes it satisfiable
+    vs = variable_bits(union(g))
+    smu = mu and all(
+        sat_packed(g - {m} | {m | x}, cap_vars) is not None
+        for m in g for b in bits(vs & ~(m | m >> 1)) for x in (b, b << 1))
+    delta = len(g) - vs.bit_count()
     return MuFlags(mu=mu, smu=smu, smu_delta1=smu and delta == 1)
-
-
-def _clause_images(phi, f):
-    """Per-clause instantiation by phi, keeping one image per clause.
-
-    Assumes phi satisfies no literal of f (true for falsifiers of the
-    pure clause).
-    """
-    images = []
-    for c in sorted_clauses(f):
-        kept = frozenset(
-            x for x in c if assignment_satisfies(phi, x) is None)
-        images.append(kept)
-    return images
 
 
 def is_mps(f, cap_vars=24):
@@ -72,17 +53,16 @@ def is_mps(f, cap_vars=24):
 
     Returns (flag, pure clause).  Criterion: instantiating by the
     falsifier of the pure clause must be contraction-free on f and leave
-    a minimally unsatisfiable clause-set.
+    a minimally unsatisfiable clause-set.  No clause of f holds the
+    complement of a pure literal, so the instantiation strips the pure
+    literals, and two clauses contract when they leave the same image.
     """
     pure = pure_clause(f)
-    if not f:
+    p = pack(pure)
+    images = frozenset(pack(c) & ~p for c in f)
+    if len(images) < len(f):
         return False, pure
-    phi = clause_falsifier(pure)
-    images = _clause_images(phi, f)
-    if len(set(images)) != len(images):
-        return False, pure
-    flags = classify_mu(frozenset(images), cap_vars=cap_vars)
-    return flags.mu, pure
+    return classify_mu_packed(images, cap_vars).mu, pure
 
 
 @dataclass(frozen=True)
@@ -154,13 +134,10 @@ def is_total_mps(f, cap_vars=24):
     is contraction-free and lands in saturated minimal unsatisfiability
     with deficiency 1.
     """
-    if not f:
-        return False
-    phi = clause_falsifier(pure_clause(f))
-    images = _clause_images(phi, f)
-    if len(set(images)) != len(images):
-        return False
-    return classify_mu(frozenset(images), cap_vars=cap_vars).smu_delta1
+    p = pack(pure_clause(f))
+    images = frozenset(pack(c) & ~p for c in f)
+    return (len(images) == len(f)
+            and classify_mu_packed(images, cap_vars).smu_delta1)
 
 
 def has_max_doped_primes(f, cap_vars=24):

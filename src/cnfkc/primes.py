@@ -2,8 +2,9 @@
 
 from dataclasses import dataclass
 
-from .core import (BOT, TOP, clause_key, falsify, pack, pack_set,
-                   sorted_clauses, subsumption_eliminate, variables)
+from .core import (BOT, TOP, bits, clause_key, falsify, pack, pack_set,
+                   sorted_clauses, subsumption_eliminate, union, unpack_set,
+                   variable_bits)
 from .errors import CapExceededError
 from .propagation import sat_packed
 
@@ -28,30 +29,24 @@ def equivalent(f, g, cap_vars=24):
 def prime_implicates(f, cap_clauses=100000):
     """Prime implicates of f by Tison's consensus method.
 
-    Clauses are packed into integer bitmasks: with the variables of f
-    numbered 0, 1, ... in ascending order, literal v of the i-th variable
-    is bit 2i and -v is bit 2i+1.  This dense per-call numbering, unlike
-    `core`'s absolute bits, keeps the per-bit occurrence list below at
-    one entry per literal of f, whatever its largest variable id.
-    Variable by variable, every non-tautological resolvent on it is added
-    in ascending size; a resolvent that a kept clause subsumes is
-    dropped, and kept clauses that it subsumes are removed.  Resolvents
-    on a variable no longer contain it, so each variable needs a single
-    pass.  `cap_clauses`
+    Variable by variable, in ascending order, every non-tautological
+    resolvent of f's packed clauses on it is added in ascending size; a
+    resolvent that a kept clause subsumes is dropped, and kept clauses
+    that it subsumes are removed.  Resolvents on a variable no longer
+    contain it, so each variable needs a single pass.  `cap_clauses`
     bounds the working set after each variable.
 
     Returns exactly the inclusion-minimal implicates.  TOP yields TOP,
     anything unsatisfiable yields {BOT}.
     """
-    lits = [x for v in sorted(variables(f)) for x in (v, -v)]
-    bit = {x: 1 << i for i, x in enumerate(lits)}
-    positive = sum(1 << i for i in range(0, len(lits), 2))
-    # every clause ever kept, by index; per literal, the bitmap of the
-    # indices whose clause holds it; the bitmap of indices still kept.
-    # Both subsumption tests of `add` are then a few big-int operations
-    # per literal instead of a scan over the kept clauses.
+    g = pack_set(f)
+    u = union(g)
+    # every clause ever kept, by index; per literal bit of f, the bitmap
+    # of the indices whose clause holds it; the bitmap of indices still
+    # kept.  Both subsumption tests of `add` are then a few big-int
+    # operations per literal instead of a scan over the kept clauses.
     store = []
-    occ = [0] * len(lits)
+    occ = dict.fromkeys(bits(u), 0)
     alive = 0
 
     def members(indices):
@@ -63,8 +58,8 @@ def prime_implicates(f, cap_clauses=100000):
     def add(r):
         nonlocal alive
         outside, inside = 0, alive
-        for b, o in enumerate(occ):
-            if r >> b & 1:
+        for b, o in occ.items():
+            if r & b:
                 inside &= o
             else:
                 outside |= o
@@ -73,16 +68,16 @@ def prime_implicates(f, cap_clauses=100000):
         new = 1 << len(store)
         store.append(r)
         alive = alive & ~inside | new
-        for b in range(len(occ)):
-            if r >> b & 1:
-                occ[b] |= new
+        for b in bits(r):
+            occ[b] |= new
 
-    for m in sorted({sum(bit[x] for x in c) for c in f}, key=int.bit_count):
+    for m in sorted(g, key=int.bit_count):
         add(m)
-    for i in range(0, len(lits), 2):
-        pos, neg = 1 << i, 2 << i
-        ps = [c ^ pos for c in members(alive & occ[i])]
-        ns = [c ^ neg for c in members(alive & occ[i + 1])]
+    positive = variable_bits(u)
+    for pos in bits(positive):
+        neg = pos << 1
+        ps = [c ^ pos for c in members(alive & occ.get(pos, 0))]
+        ns = [c ^ neg for c in members(alive & occ.get(neg, 0))]
         fresh = {p | n for p in ps for n in ns
                  if not (p | n) & ((p | n) >> 1) & positive}
         for r in sorted(fresh, key=int.bit_count):
@@ -90,9 +85,7 @@ def prime_implicates(f, cap_clauses=100000):
         if alive.bit_count() > cap_clauses:
             raise CapExceededError(
                 "prime implicate closure exceeded %d clauses" % cap_clauses)
-    return frozenset(
-        frozenset(x for j, x in enumerate(lits) if m >> j & 1)
-        for m in members(alive))
+    return unpack_set(members(alive))
 
 
 def prime_implicants(f, cap_count=100000):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .compile import equivalent_subset, greedy_base, smallest_base
-from .core import bits, clause_key, flip, pack, sorted_clauses
+from .core import (bits, clause_key, flip, pack, pack_set, sorted_clauses,
+                   sorted_masks, unpack_set)
 from .errors import CapExceededError, IntegrityError, ParseError
 from .hardness import whd_at_most
 from .primes import essential_primes, prime_implicates
@@ -264,7 +265,7 @@ def min_equivalent_size(f, k, mode="exhaustive", cap_primes=18,
     Exhaustive mode scans subsets by ascending size, forced to contain
     the essential primes and to hit every trigger edge.  Heuristic mode
     greedily adds primes by ascending size, then removes by descending
-    size to a fixpoint (`compile.greedy_base`, as `k_base` does), and
+    size in one sweep (`compile.greedy_base`, as `k_base` does), and
     reports the result as an upper bound only.
 
     `primes`, `essential`, `hypergraph` (level k) and `tau` (its
@@ -273,9 +274,11 @@ def min_equivalent_size(f, k, mode="exhaustive", cap_primes=18,
     """
     if primes is None:
         primes = prime_implicates(f)
-    vs = sorted_clauses(primes)
+    g = pack_set(primes)
+    vs = sorted_masks(g)  # the hypergraph's vertex order
     if essential is None:
         essential = essential_primes(f, primes=primes)
+    ess = pack_set(essential)
     if hypergraph is None:
         hypergraph = trigger_hypergraph(f, k, primes=primes)
     if tau is None:
@@ -283,32 +286,31 @@ def min_equivalent_size(f, k, mode="exhaustive", cap_primes=18,
     floor = max(tau.lower_bound, len(essential))
 
     def level(sub):
-        return whd_at_most(sub, k, primes)
+        return whd_at_most(sub, k, g)
 
     def good(sub):
-        return equivalent_subset(sub, primes) and level(sub)
+        return equivalent_subset(sub, g) and level(sub)
 
     if mode == "heuristic":
-        rep = greedy_base(vs, essential, level)[0]
-        return MinEquivResult(size=len(rep), representative=rep,
+        rep = greedy_base(vs, ess, level)[0]
+        return MinEquivResult(size=len(rep), representative=unpack_set(rep),
                               exact=False, lower_bound=floor)
     if floor >= len(vs) and tau.exact:
         # the transversal bound already forces the whole prime set
-        full = frozenset(vs)
-        if not whd_at_most(full, k, primes):
+        if not level(g):
             raise IntegrityError("prime set itself exceeds width %d" % k)
-        return MinEquivResult(size=len(vs), representative=full,
+        return MinEquivResult(size=len(vs), representative=unpack_set(g),
                               exact=True, lower_bound=len(vs))
     if len(vs) > cap_primes:
         raise CapExceededError(
             "exhaustive search capped at %d primes, got %d"
             % (cap_primes, len(vs)))
     edges = [frozenset(vs[i] for i in e) for e in _dedupe_edges(hypergraph)]
-    rep = smallest_base(vs, essential,
+    rep = smallest_base(vs, ess,
                         lambda sub: all(e & sub for e in edges) and good(sub),
                         floor)
-    return MinEquivResult(size=len(rep), representative=rep, exact=True,
-                          lower_bound=len(rep))
+    return MinEquivResult(size=len(rep), representative=unpack_set(rep),
+                          exact=True, lower_bound=len(rep))
 
 
 def extremal_sperner_bound(t, k):

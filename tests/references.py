@@ -9,13 +9,15 @@ partial assignment that `hardness.phd` replaced.
 
 import itertools
 
-from cnfkc.core import (BOT, apply_assignment, clause_falsifier, clause_key,
-                        instantiate, literal_assignment, literal_bit,
-                        literals_of, pack_set, packed_variable_count,
-                        resolvable, resolve, sorted_clauses, variables)
+from cnfkc.core import (BOT, apply_assignment, assignment_satisfies,
+                        clause_falsifier, clause_key, instantiate,
+                        literal_assignment, literal_bit, literals_of,
+                        pack_set, packed_variable_count, resolvable, resolve,
+                        sorted_clauses, variables)
 from cnfkc.errors import CapExceededError
+from cnfkc.mpsdope import MuFlags, pure_clause
 from cnfkc.propagation import (REFUTED, PropagationResult, propagate_packed,
-                               unit_propagate)
+                               sat_oracle, unit_propagate)
 
 
 def propagate_frozenset(f, k, cache=None, select=None):
@@ -183,6 +185,71 @@ def trigger_edges_frozenset(primes, k):
         edges.append(frozenset(i for i, d in enumerate(vs)
                                if not (d & neg) and len(d - c) <= k))
     return tuple(edges)
+
+
+def classify_mu_frozenset(f, cap_vars=24):
+    """`mpsdope.classify_mu` on frozenset clauses, one DPLL call per
+    removed or widened clause."""
+    ok, _ = sat_oracle(f, cap_vars=cap_vars)
+    if ok:
+        return MuFlags(False, False, False)
+    mu = all(sat_oracle(f - {c}, cap_vars=cap_vars)[0] for c in f)
+    smu = mu
+    if mu:
+        vs = variables(f)
+        for c in f:
+            rest = f - {c}
+            for v in sorted(vs - {abs(x) for x in c}):
+                for x in (v, -v):
+                    widened = rest | {c | {x}}
+                    if not sat_oracle(widened, cap_vars=cap_vars)[0]:
+                        smu = False
+                        break
+                if not smu:
+                    break
+            if not smu:
+                break
+    delta = len(f) - len(variables(f))
+    return MuFlags(mu=mu, smu=smu, smu_delta1=smu and delta == 1)
+
+
+def _clause_images(phi, f):
+    """Per-clause instantiation by phi, keeping one image per clause.
+
+    Assumes phi satisfies no literal of f (true for falsifiers of the
+    pure clause).
+    """
+    images = []
+    for c in sorted_clauses(f):
+        kept = frozenset(
+            x for x in c if assignment_satisfies(phi, x) is None)
+        images.append(kept)
+    return images
+
+
+def is_mps_frozenset(f, cap_vars=24):
+    """`mpsdope.is_mps` by per-clause frozenset images."""
+    pure = pure_clause(f)
+    if not f:
+        return False, pure
+    phi = clause_falsifier(pure)
+    images = _clause_images(phi, f)
+    if len(set(images)) != len(images):
+        return False, pure
+    flags = classify_mu_frozenset(frozenset(images), cap_vars=cap_vars)
+    return flags.mu, pure
+
+
+def is_total_mps_frozenset(f, cap_vars=24):
+    """`mpsdope.is_total_mps` by per-clause frozenset images."""
+    if not f:
+        return False
+    phi = clause_falsifier(pure_clause(f))
+    images = _clause_images(phi, f)
+    if len(set(images)) != len(images):
+        return False
+    return classify_mu_frozenset(frozenset(images),
+                                 cap_vars=cap_vars).smu_delta1
 
 
 def phd_exhaustive(f, cap_vars=12):

@@ -136,6 +136,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_satlib_percent_trailer_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "satlib.cnf"
+    path.write_text("p cnf 2 1\n1 2 0\n%\n0\n\n")
+    assert main(["measure", str(path)]) == 2
+    assert "bad token '%'" in capsys.readouterr().err
+
+
 def test_cap_exceeded_exit_code(tmp_path, capsys):
     path = tmp_path / "many.cnf"
     f = frozenset(clause([v]) for v in range(1, 19))

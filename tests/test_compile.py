@@ -3,7 +3,8 @@ import random
 from cnfkc.compile import (answer_query, canon_primes, enumerate_models,
                            equivalent_subset, greedy_base, k_base,
                            smallest_base)
-from cnfkc.core import TOP, clause, pack_set, sorted_clauses, variables
+from cnfkc.core import (TOP, clause, pack_set, sorted_clauses, sorted_masks,
+                        unpack_set, variables)
 from cnfkc.errors import CapExceededError, IntegrityError, ParseError
 from cnfkc.hardness import hd, whd
 from cnfkc.mpsdope import dope
@@ -104,6 +105,22 @@ def test_smallest_base_rejecting_everything_is_an_integrity_error():
                       lambda sub: False, 0)
 
 
+def _implication_cycles(seed):
+    """(f, its packed primes in `sorted_masks` order, the packed essential
+    primes) for 30 seeded sets.  An implication cycle alone has no
+    essential prime, so the additions can overshoot and leave the sweep
+    work to do."""
+    rng = random.Random(seed)
+    for _ in range(30):
+        lits = [v * rng.choice((1, -1)) for v in rng.sample(range(1, 7), 4)]
+        f = frozenset(clause([-a, b])
+                      for a, b in zip(lits, lits[1:] + lits[:1]))
+        f |= oracles.random_clause_set(rng, max_n=6, max_c=3)
+        primes = prime_implicates(f)
+        ess = pack_set(essential_primes(primes, primes=primes))
+        yield f, sorted_masks(pack_set(primes)), ess
+
+
 def test_greedy_base_never_tries_without_an_essential_prime(monkeypatch):
     import cnfkc.compile
     real = cnfkc.compile.entails
@@ -115,17 +132,8 @@ def test_greedy_base_never_tries_without_an_essential_prime(monkeypatch):
 
     # every entailment test, the sweep's removal trials included
     monkeypatch.setattr(cnfkc.compile, "entails", entails)
-    rng = random.Random(86)
     swept = 0
-    for _ in range(30):
-        # an implication cycle alone has no essential prime, so the
-        # additions can overshoot and leave the sweep work to do
-        lits = [v * rng.choice((1, -1)) for v in rng.sample(range(1, 7), 4)]
-        f = frozenset(clause([-a, b])
-                      for a, b in zip(lits, lits[1:] + lits[:1]))
-        f |= oracles.random_clause_set(rng, max_n=6, max_c=3)
-        primes = prime_implicates(f)
-        ess = essential_primes(primes, primes=primes)
+    for f, order, ess in _implication_cycles(86):
         tried = []
         tested.clear()
 
@@ -133,15 +141,46 @@ def test_greedy_base_never_tries_without_an_essential_prime(monkeypatch):
             tried.append(sub)
             return True
 
-        base, added, removed = greedy_base(sorted_clauses(primes), ess, level)
-        assert all(pack_set(ess) <= g for g in tested)
+        base, added, removed = greedy_base(order, ess, level)
+        assert all(ess <= g for g in tested)
         # `level` only ever sees subsets equivalent to the primes
-        assert all(ess <= sub and equivalent_subset(sub, primes)
+        packed = frozenset(order)
+        assert all(ess <= sub and equivalent_subset(sub, packed)
                    for sub in tried)
-        assert equivalent(base, f) and ess <= base
+        assert equivalent(unpack_set(base), f) and ess <= base
         assert base == (ess | frozenset(added)) - frozenset(removed)
         swept += len(tried) > 1
     assert swept >= 5
+
+
+def test_greedy_base_tries_each_prime_for_removal_at_most_once(monkeypatch):
+    import cnfkc.compile
+    real_entails = cnfkc.compile.entails
+    real_equivalent = cnfkc.compile.equivalent_subset
+    checking = []  # non-empty inside an equivalence check
+    targets = []  # the prime of every removal trial
+
+    def entails(g, c):
+        if not checking:
+            targets.append(c)
+        return real_entails(g, c)
+
+    def equivalent_subset(sub, primes):
+        checking.append(True)
+        try:
+            return real_equivalent(sub, primes)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(cnfkc.compile, "entails", entails)
+    monkeypatch.setattr(cnfkc.compile, "equivalent_subset", equivalent_subset)
+    removals = 0
+    for _, order, ess in _implication_cycles(86):
+        targets.clear()
+        _, _, removed = greedy_base(order, ess, lambda sub: True)
+        assert len(targets) == len(set(targets))
+        removals += bool(removed)
+    assert removals >= 5
 
 
 def test_canon_primes_full_budget_equals_primes():

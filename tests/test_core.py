@@ -35,6 +35,11 @@ def test_parse_duplicates_merge():
     assert len(f) == 2
 
 
+def test_parse_accepts_a_header_clause_count_that_does_not_match():
+    # duplicates merge, so a count check would reject valid inputs
+    assert parse_dimacs("p cnf 3 5\n1 -2 0\n") == cs([1, -2])
+
+
 def test_parse_keeps_comments():
     doc = parse_dimacs_document("c hello\np cnf 1 1\n1 0\nc bye\n")
     assert doc.comments == ("hello", "bye")

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cnfkc.core import (BOT, TOP, _mask_key, apply_assignment, bit_literal,
                         bits, clause, clause_key, flip, literal_bit, pack,
@@ -10,6 +10,7 @@ from cnfkc.core import (BOT, TOP, _mask_key, apply_assignment, bit_literal,
                         unpack_set)
 from cnfkc.errors import CapExceededError
 from cnfkc.hardness import hd, hd_at_most, k_res_refutes, width_refutes
+from cnfkc.mpsdope import classify_mu, is_mps, is_total_mps
 from cnfkc.primes import implies, prime_implicates
 from cnfkc.propagation import propagate, sat_oracle
 from cnfkc.trigger import trigger_hypergraph
@@ -96,6 +97,21 @@ def test_engines_match_the_frozenset_references(clauses):
         assert width_refutes(f, w) == references.width_refutes_frozenset(f, w)
 
 
+@settings(max_examples=200, deadline=None)
+@given(clause_lists())
+@clause_list_examples
+# minimally unsatisfiable, and only widening by a negative literal keeps
+# it unsatisfiable
+@example((clause([1]), clause([-1, -2]), clause([2])))
+# a minimal premise set of its pure clause {2}, which one clause holds
+@example((clause([1, 2]), clause([-1])))
+def test_mu_classification_matches_the_frozenset_references(clauses):
+    f = frozenset(clauses)
+    assert classify_mu(f) == references.classify_mu_frozenset(f)
+    assert is_mps(f) == references.is_mps_frozenset(f)
+    assert is_total_mps(f) == references.is_total_mps_frozenset(f)
+
+
 def test_a_cache_shared_by_two_clause_sets_keeps_them_apart():
     # a per-call numbering would give both sets the same packed form
     f = frozenset([clause([1]), clause([-1, 2])])
@@ -107,9 +123,9 @@ def test_a_cache_shared_by_two_clause_sets_keeps_them_apart():
     assert second.assigned == {7: 1, 9: 1}
     assert second == propagate(g, 2)
     assert propagate(f, 2, cache=cache) == first
-    primes = prime_implicates(g)
-    assert hd_at_most(g, 1, primes, cache=cache)
-    assert not hd_at_most(g, 0, primes, cache=cache)
+    primes = pack_set(prime_implicates(g))
+    assert hd_at_most(pack_set(g), 1, primes, cache=cache)
+    assert not hd_at_most(pack_set(g), 0, primes, cache=cache)
     assert hd(g) == 1
 
 

@@ -318,7 +318,7 @@ def test_min_equivalent_heuristic_is_upper_bound():
     assert loose.size >= exact.size
     assert equivalent(loose.representative, d.doped)
     assert whd(loose.representative) <= 1
-    # the greedy sweep runs to a fixpoint: no single removal keeps both
+    # one greedy sweep suffices: no single removal keeps both
     # equivalence and asymmetric width <= k
     cases = [(d.doped, 1)]
     rng = random.Random(87)
