@@ -153,28 +153,30 @@ def answer_query(kind, f, k, clause=None, assignment=None, other=None,
     if kind == "CE":
         if clause is None:
             raise ParseError("CE needs a clause")
-        return k_res_packed(sorted_masks(falsify(pack_set(f), pack(clause))),
-                            k)[0]
+        return _derives(pack_set(f), pack(clause), k)
     if kind == "VA":
         return f == TOP
     if kind == "IM":
         if assignment is None:
             raise ParseError("IM needs an assignment")
         return apply_assignment(assignment, f) == TOP
-    if kind == "SE":
+    if kind in ("SE", "EQ"):
         if other is None:
-            raise ParseError("SE needs a second clause-set")
-        return all(answer_query("CE", f, k, clause=c) for c in other)
-    if kind == "EQ":
-        if other is None:
-            raise ParseError("EQ needs a second clause-set")
-        return (answer_query("SE", f, k, other=other)
-                and answer_query("SE", other, k, other=f))
+            raise ParseError("%s needs a second clause-set" % kind)
+        g, h = pack_set(f), pack_set(other)
+        return (all(_derives(g, c, k) for c in h)
+                and (kind == "SE" or all(_derives(h, c, k) for c in g)))
     if kind == "ME":
         return enumerate_models(f, k, cap_models=cap_models)
     if kind == "MC":
         return len(enumerate_models(f, k, cap_models=cap_models))
     raise ParseError("unknown query kind %r" % kind)
+
+
+def _derives(g, c, k):
+    """Does level-k resolution refute the packed g under the falsifier
+    of the packed clause c (the CE answer for c)?"""
+    return k_res_packed(sorted_masks(falsify(g, c)), k)[0]
 
 
 def enumerate_models(f, k, cap_models=2 ** 20):

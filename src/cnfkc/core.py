@@ -204,6 +204,61 @@ def sorted_masks(g):
     return sorted(g, key=_mask_key)
 
 
+class SubsumptionIndex:
+    """Packed clauses by index, with one occurrence bitmap per literal:
+    bit i of `occ[b]` is set when the i-th clause holds literal b, and
+    `alive` is the bitmap of the indices still kept.  Both subsumption
+    tests of `add` are then a few big-int operations per literal instead
+    of a scan over the kept clauses."""
+
+    def __init__(self, literals, clauses=()):
+        """`literals`: a mask of every literal the clauses may hold;
+        `clauses`: the clauses kept from the start, with no test.  (The
+        loops over bits are inlined here and in `add`: both are hot.)"""
+        self.clauses = list(clauses)
+        self.occ = occ = {}
+        while literals:
+            low = literals & -literals
+            occ[low] = 0
+            literals ^= low
+        new = 1
+        for c in self.clauses:
+            while c:
+                low = c & -c
+                occ[low] |= new
+                c ^= low
+            new <<= 1
+        self.alive = new - 1
+
+    def add(self, r, evict=False):
+        """Keep r unless a kept clause subsumes it; whether r was kept.
+        With `evict`, the kept clauses that r subsumes are dropped."""
+        occ, alive = self.occ, self.alive
+        outside, inside = 0, alive
+        for b, o in occ.items():
+            if r & b:
+                inside &= o
+            else:
+                outside |= o
+        if alive & ~outside:
+            return False  # a kept clause has no literal outside r
+        new = 1 << len(self.clauses)
+        self.clauses.append(r)
+        self.alive = (alive & ~inside if evict else alive) | new
+        while r:
+            low = r & -r
+            occ[low] |= new
+            r ^= low
+        return True
+
+    def members(self, indices):
+        """The clauses of the index bitmap `indices`, by index."""
+        while indices:
+            low = indices & -indices
+            yield self.clauses[low.bit_length() - 1]
+            indices ^= low
+
+
 class ResolutionError(ValueError):
     """The two clauses do not clash in exactly one variable."""
 

@@ -1,14 +1,16 @@
 """Hardness measures: propagation hardness, p-hardness, asymmetric and
 symmetric width, and the width-based resolution size bound."""
 
+import heapq
 import itertools
 import json
 import math
 from dataclasses import dataclass
 
-from .core import (BOT, bit_literal, bits, clause_falsifier, clause_key,
-                   falsify, flip, pack, pack_set, packed_variable_count,
-                   sorted_clauses, sorted_masks, unpack)
+from .core import (BOT, SubsumptionIndex, bit_literal, bits,
+                   clause_falsifier, clause_key, falsify, flip, pack,
+                   pack_set, packed_variable_count, sorted_clauses,
+                   sorted_masks, union, unpack)
 from .errors import CapExceededError, IntegrityError
 from .primes import prime_implicates
 from .propagation import REFUTED, propagate_packed, sat_oracle
@@ -17,8 +19,11 @@ from .propagation import REFUTED, propagate_packed, sat_oracle
 def k_res_refutes(f, k, cap_clauses=200000, want_trace=False):
     """Can f be refuted by resolution where one parent has size <= k?
 
-    Returns (refuted, trace); the trace lists (clause, parent, parent)
-    derivation steps ending in the empty clause when requested.
+    Returns (refuted, trace); the trace, when requested, is a derivation
+    of the empty clause: (clause, parent, parent) steps in the order they
+    were derived, each parent an axiom or an earlier step.  It is *a*
+    derivation, not a shortest one.  `cap_clauses` bounds the clauses
+    kept (see `_bounded_resolution`).
     """
     refuted, trace = k_res_packed(sorted_masks(pack_set(f)), k, cap_clauses,
                                   want_trace)
@@ -29,7 +34,8 @@ def k_res_refutes(f, k, cap_clauses=200000, want_trace=False):
 
 def k_res_packed(order, k, cap_clauses=200000, want_trace=False):
     """`k_res_refutes` on packed clauses given in `sorted_masks` order,
-    with a packed trace."""
+    with a packed trace: k-resolution saturated shortest clause first,
+    with forward subsumption."""
     return _bounded_resolution(order, k, math.inf, cap_clauses, want_trace)
 
 
@@ -37,59 +43,79 @@ def _bounded_resolution(order, k, w, cap_clauses, want_trace=False):
     """Resolution where, in every step, one parent has at most k literals
     and every clause at most w: (refuted, packed trace when requested).
 
-    Clauses are taken in `order`, each resolved against every earlier one
-    in order (only the clauses of size <= k when it is larger), and
-    resolvents of size <= w join the end of a copy of the order.  With
-    k = w and every clause of `order` within w literals, every clause is
-    short: this is width-w resolution.
+    The given-clause loop (E; Schulz 2002).  The axioms, in `order`, and
+    then every kept resolvent wait in a passive queue, shortest first and
+    first in, first out within one size.  Each step takes the shortest
+    passive clause, resolves it against the active clauses (all of them
+    when it has at most k literals, else those that have) and makes it
+    active.  A resolvent is dropped when it has more than w literals,
+    was met before, or a kept clause subsumes it.  Dropping subsumed
+    ones is sound for both restrictions: a kept D within R is no longer
+    than R, so it can stand in for R as the bounded parent, and with
+    any E that R resolves with, D either resolves to a subset of R's
+    resolvent or is itself one.  So the answer is that of the
+    saturation that keeps every resolvent.  With k = w and every clause
+    of `order` within w literals, every clause is short: this is
+    width-w resolution.
+
+    `cap_clauses` bounds the clauses kept, axioms included; dropped
+    resolvents do not count, and are remembered only so that each is
+    tested once.  Only a strictly shorter clause can subsume a new
+    resolvent, and no kept clause is empty, so the subsumption index is
+    built at the first resolvent of two or more literals: calls that
+    derive no such resolvent pay nothing for it.
     """
-    order = list(order)
-    seen = dict.fromkeys(order)
-    if 0 in seen:
+    if order and not order[0]:
         return True, ([] if want_trace else None)
-    small = []  # indices below i of clauses of size <= k
-    i = 0
-    while i < len(order):
-        c = order[i]
+    if len(order) < 2 or order[0].bit_count() > k:
+        return False, None  # no pair, or none with a parent of <= k literals
+    seen = dict.fromkeys(order)  # kept clause -> its parents, in order
+    dropped = set()  # the subsumed resolvents met so far
+    index = None
+    passive = [(c.bit_count(), i, c) for i, c in enumerate(order)]
+    active = []
+    small = []  # the active clauses of at most k literals
+    while passive:
+        size, _, c = heapq.heappop(passive)
         neg = flip(c)
-        short = c.bit_count() <= k
-        for j in (range(i) if short else small):
-            d = order[j]
+        for d in (active if size <= k else small):
             clash = neg & d
             if not clash or clash & (clash - 1):
                 continue
             r = (c | d) & ~(3 << ((clash.bit_length() - 1) & ~1))
-            if r.bit_count() > w or r in seen:
+            if r.bit_count() > w or r in seen or r in dropped:
+                continue
+            if not r:
+                seen[r] = (c, d)
+                return True, (_trace(seen) if want_trace else None)
+            if index is None and r & (r - 1):
+                index = SubsumptionIndex(union(order), seen)
+            if index is not None and not index.add(r):
+                dropped.add(r)
                 continue
             seen[r] = (c, d)
-            order.append(r)
-            if not r:
-                return True, (_trace(seen, r) if want_trace else None)
-        if short:
-            small.append(i)
-        i += 1
-        if len(order) > cap_clauses:
+            heapq.heappush(passive, (r.bit_count(), len(seen), r))
+        active.append(c)
+        if size <= k:
+            small.append(c)
+        if len(seen) > cap_clauses:
             what = "bounded" if w == math.inf else "width-bounded"
             raise CapExceededError(
                 "%s resolution exceeded %d clauses" % (what, cap_clauses))
     return False, None
 
 
-def _trace(seen, goal):
-    steps = []
-    stack = [goal]
-    done = set()
+def _trace(seen):
+    """The steps deriving the empty clause, in the order of `seen`, so
+    that every parent comes before the step using it."""
+    need = {0}
+    stack = [0]
     while stack:
-        c = stack.pop()
-        if c in done:
-            continue
-        done.add(c)
-        par = seen[c]
-        if par is not None:
-            steps.append((c, par[0], par[1]))
-            stack.extend(par)
-    steps.reverse()
-    return steps
+        for p in seen[stack.pop()] or ():
+            if p not in need:
+                need.add(p)
+                stack.append(p)
+    return [(c,) + par for c, par in seen.items() if par and c in need]
 
 
 def width_refutes(f, w, cap_clauses=200000):

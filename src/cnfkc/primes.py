@@ -2,9 +2,9 @@
 
 from dataclasses import dataclass
 
-from .core import (BOT, TOP, bits, clause_key, falsify, pack, pack_set,
-                   sorted_clauses, subsumption_eliminate, union, unpack_set,
-                   variable_bits)
+from .core import (BOT, TOP, SubsumptionIndex, bits, clause_key, falsify,
+                   pack, pack_set, sorted_clauses, subsumption_eliminate,
+                   union, unpack_set, variable_bits)
 from .errors import CapExceededError
 from .propagation import sat_packed
 
@@ -41,51 +41,23 @@ def prime_implicates(f, cap_clauses=100000):
     """
     g = pack_set(f)
     u = union(g)
-    # every clause ever kept, by index; per literal bit of f, the bitmap
-    # of the indices whose clause holds it; the bitmap of indices still
-    # kept.  Both subsumption tests of `add` are then a few big-int
-    # operations per literal instead of a scan over the kept clauses.
-    store = []
-    occ = dict.fromkeys(bits(u), 0)
-    alive = 0
-
-    def members(indices):
-        while indices:
-            low = indices & -indices
-            yield store[low.bit_length() - 1]
-            indices ^= low
-
-    def add(r):
-        nonlocal alive
-        outside, inside = 0, alive
-        for b, o in occ.items():
-            if r & b:
-                inside &= o
-            else:
-                outside |= o
-        if alive & ~outside:
-            return  # a kept clause has no literal outside r
-        new = 1 << len(store)
-        store.append(r)
-        alive = alive & ~inside | new
-        for b in bits(r):
-            occ[b] |= new
-
+    kept = SubsumptionIndex(u)
     for m in sorted(g, key=int.bit_count):
-        add(m)
+        kept.add(m, evict=True)
     positive = variable_bits(u)
     for pos in bits(positive):
         neg = pos << 1
-        ps = [c ^ pos for c in members(alive & occ.get(pos, 0))]
-        ns = [c ^ neg for c in members(alive & occ.get(neg, 0))]
+        alive, occ = kept.alive, kept.occ
+        ps = [c ^ pos for c in kept.members(alive & occ.get(pos, 0))]
+        ns = [c ^ neg for c in kept.members(alive & occ.get(neg, 0))]
         fresh = {p | n for p in ps for n in ns
                  if not (p | n) & ((p | n) >> 1) & positive}
         for r in sorted(fresh, key=int.bit_count):
-            add(r)
-        if alive.bit_count() > cap_clauses:
+            kept.add(r, evict=True)
+        if kept.alive.bit_count() > cap_clauses:
             raise CapExceededError(
                 "prime implicate closure exceeded %d clauses" % cap_clauses)
-    return unpack_set(members(alive))
+    return unpack_set(kept.members(kept.alive))
 
 
 def prime_implicants(f, cap_count=100000):

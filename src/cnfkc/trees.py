@@ -61,36 +61,37 @@ def inner_variables(t):
 
 
 def _check_labels(t):
+    """Reject a tree whose inner labels repeat, naming the first repeat
+    in preorder.  Iterative, as are `leaf_paths`, `extremal_tree` and
+    `tree_to_term`: a chain tree is as deep as it is long."""
     seen = set()
-
-    def walk(node):
+    stack = [t]
+    while stack:
+        node = stack.pop()
         if is_leaf(node):
-            return
+            continue
         if node.var in seen:
             raise ParseError("tree label %d repeats" % node.var)
         seen.add(node.var)
-        walk(node.left)
-        walk(node.right)
-
-    walk(t)
+        stack += (node.right, node.left)
 
 
 def leaf_paths(t):
-    """Map root-to-leaf address ('0' = left) to the path clause.
+    """Map root-to-leaf address ('0' = left) to the path clause, leaves
+    from left to right.
 
     The path clause collects the literal of each edge taken: positive on
     a left edge, complemented on a right edge.
     """
     out = {}
-
-    def walk(node, addr, lits):
+    stack = [(t, "", ())]
+    while stack:
+        node, addr, lits = stack.pop()
         if is_leaf(node):
             out[addr] = frozenset(lits)
-            return
-        walk(node.left, addr + "0", lits + [node.var])
-        walk(node.right, addr + "1", lits + [-node.var])
-
-    walk(t, "", [])
+            continue
+        stack += ((node.right, addr + "1", lits + (-node.var,)),
+                  (node.left, addr + "0", lits + (node.var,)))
     return out
 
 
@@ -169,20 +170,25 @@ def extremal_tree(k, h):
     """
     if k < 0 or h < k or (k == 0 and h != 0):
         raise ParseError("no extremal tree for hs=%d height=%d" % (k, h))
-    counter = [0]
-
-    def build(kk, hh):
-        if kk == 0:
-            return LEAF
-        counter[0] += 1
-        v = counter[0]
-        if kk == 1:
-            return Inner(var=v, left=build(1 if hh > 1 else 0, hh - 1),
-                         right=LEAF)
-        return Inner(var=v, left=build(min(kk, hh - 1), hh - 1),
-                     right=build(kk - 1, hh - 1))
-
-    return build(k, h)
+    # the rating of every node in preorder (0 for a leaf), then the nodes
+    # built from the last to the first, each taking its two subtrees off
+    # `built`
+    order = []
+    stack = [(k, h)]
+    while stack:
+        kk, hh = stack.pop()
+        order.append(kk)
+        if kk:
+            stack += ((kk - 1, hh - 1), (min(kk, hh - 1), hh - 1))
+    v = sum(1 for kk in order if kk)
+    built = []
+    for kk in reversed(order):
+        if kk:
+            built.append(Inner(var=v, left=built.pop(), right=built.pop()))
+            v -= 1
+        else:
+            built.append(LEAF)
+    return built.pop()
 
 
 def alpha(k, h):
@@ -256,7 +262,15 @@ def tree_from_json(text):
 
 def tree_to_term(t):
     """Compact parenthesized rendering, '.' for leaves."""
-    if is_leaf(t):
-        return "."
-    return "(%d %s %s)" % (t.var, tree_to_term(t.left),
-                           tree_to_term(t.right))
+    parts = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif is_leaf(node):
+            parts.append(".")
+        else:
+            parts.append("(%d " % node.var)
+            stack += (")", node.right, " ", node.left)
+    return "".join(parts)

@@ -2,7 +2,9 @@
 
 Each function here is the engine written literal by literal on frozenset
 clauses, with the same scan order, caps and results, so that the tests
-can compare the packed kernel against it for exact equality.  Last,
+can compare the packed kernel against it for exact equality.  The two
+saturations are the exception: they keep the old clause order and no
+subsumption, and agree with the engine on the answer only.  Last,
 `phd_exhaustive` is p-hardness by its definition, the scan over every
 partial assignment that `hardness.phd` replaced.
 """
@@ -96,16 +98,17 @@ def implies_frozenset(f, c):
                                                      f))[0]
 
 
-def k_res_refutes_frozenset(f, k, cap_clauses=200000, want_trace=False):
-    """`hardness.k_res_refutes` on frozenset clauses: the same clause
-    order, pair order, cap and trace."""
-    seen = {}
-    order = []
-    for c in sorted_clauses(f):
-        seen[c] = None
-        order.append(c)
+def k_res_refutes_frozenset(f, k, cap_clauses=200000):
+    """`hardness.k_res_refutes` without its trace, by the old saturation:
+    every clause, in the order generated, resolved against every earlier
+    one, and every new resolvent kept (no subsumption).  The engine takes
+    shortest clauses first and drops subsumed resolvents, so the answers
+    agree but the derivations do not; the tests check the engine's trace
+    on its own.  The cap counts every clause generated."""
+    order = sorted_clauses(f)
+    seen = set(order)
     if BOT in seen:
-        return True, ([] if want_trace else None)
+        return True, None
     i = 0
     while i < len(order):
         c = order[i]
@@ -118,11 +121,10 @@ def k_res_refutes_frozenset(f, k, cap_clauses=200000, want_trace=False):
             r = resolve(c, d)
             if r in seen:
                 continue
-            seen[r] = (c, d)
+            seen.add(r)
             order.append(r)
             if r == BOT:
-                return True, (_trace_frozenset(seen, r) if want_trace
-                              else None)
+                return True, None
         i += 1
         if len(order) > cap_clauses:
             raise CapExceededError(
@@ -130,25 +132,9 @@ def k_res_refutes_frozenset(f, k, cap_clauses=200000, want_trace=False):
     return False, None
 
 
-def _trace_frozenset(seen, goal):
-    steps = []
-    stack = [goal]
-    done = set()
-    while stack:
-        c = stack.pop()
-        if c in done:
-            continue
-        done.add(c)
-        par = seen[c]
-        if par is not None:
-            steps.append((c, par[0], par[1]))
-            stack.extend(par)
-    steps.reverse()
-    return steps
-
-
 def width_refutes_frozenset(f, w, cap_clauses=200000):
-    """`hardness.width_refutes` on frozenset clauses."""
+    """`hardness.width_refutes` by the old saturation, as
+    `k_res_refutes_frozenset`."""
     order = [c for c in sorted_clauses(f) if len(c) <= w]
     seen = set(order)
     if BOT in seen:

@@ -242,6 +242,24 @@ def test_query_se_eq():
         answer_query("bogus", f, 1)
 
 
+def test_se_and_eq_pack_each_clause_set_once(monkeypatch):
+    import cnfkc.compile
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return pack_set(g)
+
+    monkeypatch.setattr(cnfkc.compile, "pack_set", counting)
+    f = cs([1], [2], [3])
+    other = cs([1, 2], [1, 3], [2, 3], [1], [2, -4])
+    assert answer_query("SE", f, 1, other=other)
+    assert sorted(calls, key=len) == [f, other]
+    calls.clear()
+    assert not answer_query("EQ", f, 1, other=other)
+    assert len(calls) == 2
+
+
 def test_me_mc_doped_tree_against_truth_table():
     rng = random.Random(86)
     for _ in range(5):

@@ -9,6 +9,7 @@ from cnfkc.errors import CapExceededError
 from cnfkc.hardness import (hardness_report, hd, k_res_refutes, phd,
                             res_lower_bound, whd, wid, width_refutes)
 from cnfkc.propagation import propagate, sat_oracle
+from cnfkc.trees import extremal_tree, tree_to_clauses
 
 import oracles
 import references
@@ -176,6 +177,17 @@ def test_whd_all_assignment_oracle():
                 k += 1
             worst = max(worst, k)
         assert whd(f) == worst
+
+
+def test_hs2_trees_of_heights_5_and_6():
+    # the width-h refutation of these trees passed 200 000 clauses at
+    # height 6 while every resolvent was kept; with forward subsumption
+    # it stays within a few thousand kept clauses
+    for h in (5, 6):
+        f = tree_to_clauses(extremal_tree(2, h))
+        assert (hd(f), whd(f), wid(f)) == (2, 2, h)
+    assert width_refutes(f, 6, cap_clauses=5000)
+    assert not width_refutes(f, 5, cap_clauses=5000)
 
 
 def test_width_refutes_monotone():

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cnfkc.core import (BOT, TOP, _mask_key, apply_assignment, bit_literal,
                         bits, clause, clause_key, flip, literal_bit, pack,
-                        pack_set, sorted_clauses, sorted_masks, unpack,
-                        unpack_set)
+                        pack_set, resolvable, resolve, sorted_clauses,
+                        sorted_masks, unpack, unpack_set)
 from cnfkc.errors import CapExceededError
 from cnfkc.hardness import hd, hd_at_most, k_res_refutes, width_refutes
 from cnfkc.mpsdope import classify_mu, is_mps, is_total_mps
@@ -63,13 +63,42 @@ def _reversed(cands):
     return cands[::-1]
 
 
+def _check_trace(f, k, trace):
+    """The trace is a k-resolution refutation of f: every step resolves
+    two axioms or earlier steps that clash on exactly one variable, one
+    of them of at most k literals, and the last step is the empty clause
+    (no step at all when f holds it)."""
+    if BOT in f:
+        assert trace == []
+        return
+    known = set(f)
+    for c, a, b in trace:
+        assert a in known and b in known
+        assert min(len(a), len(b)) <= k
+        assert resolvable(a, b) and resolve(a, b) == c
+        known.add(c)
+    assert trace[-1][0] == BOT
+
+
 @settings(max_examples=300, deadline=None)
 @given(clause_lists())
 @clause_list_examples
+# a clause next to its own superset: at k >= 2 the resolvents {1, 2, 4}
+# and {1, 2, -4} of the superset are subsumed, by {1, 2} among others
+@example((clause([1, 2]), clause([1, 2, 3]), clause([1, -3]), clause([-1, 4]),
+          clause([-1, -4])))
+# refuted at k = 2, not at k = 1: the unit cannot help, and the binary
+# clauses may not resolve with each other
+@example((clause([3]), clause([1, 2]), clause([1, -2]), clause([-1, 2]),
+          clause([-1, -2])))
+# unsatisfiable: at k >= 2 the derived {-2} subsumes the resolvent {-1, -2}
+@example((clause([1, 2]), clause([-1, 2]), clause([-2, 3]), clause([1, 3]),
+          clause([-1, -3]), clause([-2, -3])))
 def test_engines_match_the_frozenset_references(clauses):
     """Packing, r_k (with and without `select`, `assigned` in order), the
-    DPLL and its models, `implies` and both saturations (with the trace)
-    give exactly what their frozenset versions give."""
+    DPLL and its models, `implies` and whether each saturation refutes
+    give exactly what their frozenset versions give, and every trace of
+    k-resolution is a refutation."""
     f = frozenset(clauses)
     assert unpack_set(pack_set(f)) == f
     assert [unpack(m) for m in sorted_masks(pack_set(f))] == \
@@ -90,9 +119,13 @@ def test_engines_match_the_frozenset_references(clauses):
     for c in _clauses_over(f, len(clauses)):
         assert implies(f, c) == references.implies_frozenset(f, c)
     for k in range(4):
-        assert k_res_refutes(f, k, want_trace=True) == \
-            references.k_res_refutes_frozenset(f, k, want_trace=True)
         assert k_res_refutes(f, k) == references.k_res_refutes_frozenset(f, k)
+        refuted, trace = k_res_refutes(f, k, want_trace=True)
+        assert refuted == k_res_refutes(f, k)[0]
+        if refuted:
+            _check_trace(f, k, trace)
+        else:
+            assert trace is None
     for w in range(5):
         assert width_refutes(f, w) == references.width_refutes_frozenset(f, w)
 

@@ -1,5 +1,8 @@
+import inspect
 import random
+import sys
 
+from cnfkc.cli import main
 from cnfkc.core import BOT, apply_assignment, clause, variables
 from cnfkc.errors import IntegrityError, ParseError
 from cnfkc.hardness import hd
@@ -108,6 +111,33 @@ def test_extremal_tree_shapes():
     with pytest.raises(ParseError):
         extremal_tree(0, 1)
     assert extremal_tree(0, 0) is LEAF
+
+
+def test_deep_chain_tree_needs_no_recursion(capsys):
+    # a chain of 400 inner nodes; the recursive helpers went one frame
+    # per level and raised RecursionError under this limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        t = extremal_tree(1, 400)
+        f = tree_to_clauses(t)
+        paths = leaf_paths(t)
+        term = tree_to_term(t)
+        code = main(["generate", "--family", "extremal_doped", "--k", "0",
+                     "--h", "400"])
+    finally:
+        sys.setrecursionlimit(limit)
+    want = "."
+    for v in range(400, 0, -1):
+        want = "(%d %s .)" % (v, want)
+    assert term == want
+    assert list(paths) == ["0" * 400] + ["0" * i + "1"
+                                         for i in range(399, -1, -1)]
+    assert paths["0" * 400] == frozenset(range(1, 401))
+    assert paths["001"] == frozenset([1, 2, -3])
+    assert f == frozenset(paths.values())
+    assert code == 0
+    assert capsys.readouterr().out.count(" 0\n") == 401
 
 
 def test_extremal_tree_measures():
