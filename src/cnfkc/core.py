@@ -205,11 +205,11 @@ def sorted_masks(g):
 
 
 class SubsumptionIndex:
-    """Packed clauses by index, with one occurrence bitmap per literal:
-    bit i of `occ[b]` is set when the i-th clause holds literal b, and
-    `alive` is the bitmap of the indices still kept.  Both subsumption
-    tests of `add` are then a few big-int operations per literal instead
-    of a scan over the kept clauses."""
+    """Packed clauses kept under subsumption, with one occurrence bitmap
+    per literal: bit i of `occ[b]` is set when the i-th clause added holds
+    literal b, and `alive` is the bitmap of the indices still kept.
+    Both subsumption tests of `add` are then a few big-int operations
+    per literal instead of a scan over the kept clauses."""
 
     def __init__(self, literals, clauses=()):
         """`literals`: a mask of every literal the clauses may hold;
@@ -230,9 +230,11 @@ class SubsumptionIndex:
             new <<= 1
         self.alive = new - 1
 
-    def add(self, r, evict=False):
-        """Keep r unless a kept clause subsumes it; whether r was kept.
-        With `evict`, the kept clauses that r subsumes are dropped."""
+    def add(self, r):
+        """Keep r unless a kept clause subsumes it, and then drop the
+        kept clauses that r subsumes; whether r was kept.  A clause that
+        a dropped one subsumes is still subsumed by r, so the answers of
+        later calls do not depend on the dropping."""
         occ, alive = self.occ, self.alive
         outside, inside = 0, alive
         for b, o in occ.items():
@@ -244,15 +246,24 @@ class SubsumptionIndex:
             return False  # a kept clause has no literal outside r
         new = 1 << len(self.clauses)
         self.clauses.append(r)
-        self.alive = (alive & ~inside if evict else alive) | new
+        self.alive = alive & ~inside | new
         while r:
             low = r & -r
             occ[low] |= new
             r ^= low
         return True
 
-    def members(self, indices):
-        """The clauses of the index bitmap `indices`, by index."""
+    def holding(self, b):
+        """The kept clauses that hold literal bit b."""
+        return self._members(self.alive & self.occ.get(b, 0))
+
+    def __iter__(self):
+        return self._members(self.alive)
+
+    def __len__(self):
+        return self.alive.bit_count()
+
+    def _members(self, indices):
         while indices:
             low = indices & -indices
             yield self.clauses[low.bit_length() - 1]

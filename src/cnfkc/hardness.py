@@ -59,11 +59,15 @@ def _bounded_resolution(order, k, w, cap_clauses, want_trace=False):
     width-w resolution.
 
     `cap_clauses` bounds the clauses kept, axioms included; dropped
-    resolvents do not count, and are remembered only so that each is
-    tested once.  Only a strictly shorter clause can subsume a new
-    resolvent, and no kept clause is empty, so the subsumption index is
-    built at the first resolvent of two or more literals: calls that
-    derive no such resolvent pay nothing for it.
+    resolvents do not count.  The subsumed ones are remembered so that
+    each is tested once, in a set of at most `cap_clauses` that is
+    emptied when full, so memory stays within a multiple of the cap.  The
+    subsumption index forgets the kept clauses that a later one
+    subsumes, which changes none of its answers; they stay active.
+    Only a strictly shorter clause can subsume a new resolvent, and no
+    kept clause is empty, so the index is built at the first resolvent
+    of two or more literals: calls that derive no such resolvent pay
+    nothing for it.
     """
     if order and not order[0]:
         return True, ([] if want_trace else None)
@@ -91,6 +95,8 @@ def _bounded_resolution(order, k, w, cap_clauses, want_trace=False):
             if index is None and r & (r - 1):
                 index = SubsumptionIndex(union(order), seen)
             if index is not None and not index.add(r):
+                if len(dropped) >= cap_clauses:
+                    dropped.clear()
                 dropped.add(r)
                 continue
             seen[r] = (c, d)

@@ -43,21 +43,20 @@ def prime_implicates(f, cap_clauses=100000):
     u = union(g)
     kept = SubsumptionIndex(u)
     for m in sorted(g, key=int.bit_count):
-        kept.add(m, evict=True)
+        kept.add(m)
     positive = variable_bits(u)
     for pos in bits(positive):
         neg = pos << 1
-        alive, occ = kept.alive, kept.occ
-        ps = [c ^ pos for c in kept.members(alive & occ.get(pos, 0))]
-        ns = [c ^ neg for c in kept.members(alive & occ.get(neg, 0))]
+        ps = [c ^ pos for c in kept.holding(pos)]
+        ns = [c ^ neg for c in kept.holding(neg)]
         fresh = {p | n for p in ps for n in ns
                  if not (p | n) & ((p | n) >> 1) & positive}
         for r in sorted(fresh, key=int.bit_count):
-            kept.add(r, evict=True)
-        if kept.alive.bit_count() > cap_clauses:
+            kept.add(r)
+        if len(kept) > cap_clauses:
             raise CapExceededError(
                 "prime implicate closure exceeded %d clauses" % cap_clauses)
-    return unpack_set(kept.members(kept.alive))
+    return unpack_set(kept)
 
 
 def prime_implicants(f, cap_count=100000):

@@ -4,6 +4,7 @@ import random
 from hypothesis import given, settings
 import pytest
 
+from cnfkc import hardness
 from cnfkc.core import BOT, apply_assignment, clause, variables
 from cnfkc.errors import CapExceededError
 from cnfkc.hardness import (hardness_report, hd, k_res_refutes, phd,
@@ -188,6 +189,29 @@ def test_hs2_trees_of_heights_5_and_6():
         assert (hd(f), whd(f), wid(f)) == (2, 2, h)
     assert width_refutes(f, 6, cap_clauses=5000)
     assert not width_refutes(f, 5, cap_clauses=5000)
+
+
+def test_the_cap_counts_kept_clauses_and_bounds_the_dropped_ones(monkeypatch):
+    # the width-5 refutation of the height-5 tree keeps about 500
+    # clauses and drops about 4 000 subsumed resolvents; the set that
+    # remembers them is emptied at the cap, so a cap of 1 000 neither
+    # stops the run nor lets the set grow past it
+    class Remembered(set):
+        largest = 0
+
+        def add(self, r):
+            super().add(r)
+            Remembered.largest = max(Remembered.largest, len(self))
+
+    monkeypatch.setattr(hardness, "set", Remembered, raising=False)
+    f = tree_to_clauses(extremal_tree(2, 5))
+    assert width_refutes(f, 5)
+    assert Remembered.largest > 1000
+    Remembered.largest = 0
+    assert width_refutes(f, 5, cap_clauses=1000)
+    assert 0 < Remembered.largest <= 1000
+    with pytest.raises(CapExceededError):
+        width_refutes(f, 5, cap_clauses=400)
 
 
 def test_width_refutes_monotone():

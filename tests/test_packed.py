@@ -4,10 +4,11 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from cnfkc.core import (BOT, TOP, _mask_key, apply_assignment, bit_literal,
-                        bits, clause, clause_key, flip, literal_bit, pack,
-                        pack_set, resolvable, resolve, sorted_clauses,
-                        sorted_masks, unpack, unpack_set)
+from cnfkc.core import (BOT, TOP, SubsumptionIndex, _mask_key,
+                        apply_assignment, bit_literal, bits, clause,
+                        clause_key, flip, literal_bit, pack, pack_set,
+                        resolvable, resolve, sorted_clauses, sorted_masks,
+                        union, unpack, unpack_set)
 from cnfkc.errors import CapExceededError
 from cnfkc.hardness import hd, hd_at_most, k_res_refutes, width_refutes
 from cnfkc.mpsdope import classify_mu, is_mps, is_total_mps
@@ -57,6 +58,28 @@ def test_sorted_masks_is_the_sorted_clauses_order(drawn):
         for d in f:
             assert (_mask_key(pack(c)) < _mask_key(pack(d))) == \
                 ((len(c), clause_key(c)) < (len(d), clause_key(d)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(1, 5), st.sampled_from((1, -1)),
+                                min_size=1, max_size=4), max_size=12),
+       st.integers(0, 12))
+def test_subsumption_index_answers_as_if_it_kept_every_clause(drawn, start):
+    # the index forgets a kept clause once a subset of it is added; add
+    # must still answer as a scan over every clause ever kept would
+    g = [pack(clause(v * s for v, s in c.items())) for c in drawn]
+    index = SubsumptionIndex(union(g), g[:start])
+    kept = list(g[:start])
+    for r in g[start:]:
+        assert index.add(r) == (not any(d & ~r == 0 for d in kept))
+        if not any(d & ~r == 0 for d in kept):
+            kept.append(r)
+    minimal = {d for d in kept if not any(e & ~d == 0 and e != d
+                                          for e in kept)}
+    if start == 0:
+        assert set(index) == minimal and len(index) == len(minimal)
+    for b in bits(union(g)):
+        assert {d for d in index if d & b} == set(index.holding(b))
 
 
 def _reversed(cands):
