@@ -308,6 +308,27 @@ def test_separation_command_csv(capsys):
     assert row["min_equiv_exact"] == "True"
 
 
+def test_separation_cap_primes_zero_bounds_only_the_searched_row(capsys):
+    """Under --cap-primes 0 only a row whose answer is a single candidate
+    (the essential primes, or every prime when the transversal number
+    forces them all) stays exact: row (1,2) reports the floor, 4,
+    flagged inexact, where the golden row has 5.  The other rows keep
+    their golden bytes."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden", "separation.csv")
+    with open(golden) as fh:
+        lines = fh.read().splitlines()
+    want = [lines[0]] + [line for line in lines[1:]
+                         if line.split(",")[:2] in (["0", "2"], ["0", "3"],
+                                                    ["1", "2"], ["1", "3"])]
+    want[3] = want[3].rsplit(",", 2)[0] + ",4,False"
+    assert want[3].endswith(",2,4,False")
+    code, out = run(capsys, "separation", "--k-range", "0:1",
+                    "--h-range", "2:3", "--cap-primes", "0")
+    assert code == 0
+    assert out.splitlines() == want
+
+
 def test_separation_row_chain():
     row = separation_row(0, 3)
     assert row.c == 4 and row.primes == 15 and row.hd == 1

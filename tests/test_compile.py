@@ -98,6 +98,18 @@ def test_k_base_cap():
         k_base(primes, 1, mode="exhaustive", cap_primes=18)
 
 
+def test_k_base_exhaustive_cap_spares_a_good_essential_core():
+    from cnfkc.cli import build_extremal_doped, build_horn_chain
+    f = build_horn_chain(3).doped
+    # the chain's essential primes are the chain, which is within hd 1,
+    # so the search answers before its cap is consulted
+    assert k_base(prime_implicates(f), 1, mode="exhaustive",
+                  cap_primes=0).clauses == f
+    d = build_extremal_doped(1, 2)[1]
+    with pytest.raises(CapExceededError):
+        k_base(prime_implicates(d.doped), 1, mode="exhaustive", cap_primes=0)
+
+
 def test_smallest_base_rejecting_everything_is_an_integrity_error():
     primes = prime_implicates(cs([1, 2], [-1, 2], [3, 4]))
     with pytest.raises(IntegrityError):

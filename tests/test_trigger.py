@@ -340,6 +340,14 @@ def test_min_equivalent_cap():
         min_equivalent_size(d.doped, 1, cap_primes=18)
 
 
+def test_min_equivalent_forced_by_tau_ignores_the_cap():
+    from cnfkc.cli import build_extremal_doped
+    d = build_extremal_doped(0, 3)[1]
+    r = min_equivalent_size(d.doped, 0, cap_primes=0)
+    assert r.exact and r.size == r.lower_bound == 15
+    assert r.representative == prime_implicates(d.doped)
+
+
 def test_extremal_sperner_bound_values():
     assert extremal_sperner_bound(extremal_tree(1, 3), 0) == 6
     assert extremal_sperner_bound(extremal_tree(1, 4), 0) == 10
