@@ -19,10 +19,9 @@ from .primes import prime_implicates, prime_report
 from .propagation import REFUTED, sat_oracle
 from .trees import (doped_clause_of_leafset, extremal_tree, tree_stats,
                     tree_to_clauses, tree_to_term)
-from .trigger import (MinEquivResult, hypergraph_to_json, matching_number,
-                      min_equivalent_size, sperner_witness,
-                      transversal_number, trigger_hypergraph,
-                      extremal_sperner_bound)
+from .trigger import (extremal_sperner_bound, hypergraph_to_json,
+                      matching_number, min_equivalent_size, sperner_witness,
+                      transversal_number, trigger_hypergraph)
 
 
 def build_extremal_doped(k, h):
@@ -350,16 +349,9 @@ def separation_row(k, h, cap_primes=18, cap_nodes=2 ** 20):
     if bound > nu_value:
         raise IntegrityError(
             "matching below guaranteed floor at (k=%d,h=%d)" % (k, h))
-    if len(primes) <= cap_primes or tau.exact and tau.value >= len(primes):
-        me = min_equivalent_size(f, k, mode="exhaustive",
-                                 cap_primes=max(cap_primes, len(primes)),
-                                 cap_nodes=cap_nodes, primes=primes,
-                                 essential=rep.essential, hypergraph=g,
-                                 tau=tau)
-    else:
-        floor = max(tau.lower_bound, len(rep.essential))
-        me = MinEquivResult(size=floor, representative=frozenset(),
-                            exact=False, lower_bound=floor)
+    me = min_equivalent_size(f, k, cap_primes=cap_primes,
+                             cap_nodes=cap_nodes, primes=primes,
+                             essential=rep.essential, hypergraph=g, tau=tau)
     if me.exact:
         if not (nu_value <= tau.value <= me.size):
             raise IntegrityError(

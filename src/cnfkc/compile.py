@@ -61,13 +61,23 @@ def greedy_base(order, ess, level):
     return current, added, removed
 
 
-def smallest_base(order, ess, good, start):
-    """First subset of the primes in `order` that holds the essential
-    primes `ess` and satisfies `good`, scanning sizes upward from
-    `start` (at least len(ess)) and each size in combination order."""
+def smallest_base(order, ess, good, floor, cap_primes):
+    """The exact prime-subset search: the first subset of the primes in
+    `order` that holds the essential primes `ess` and satisfies `good`,
+    scanning sizes upward from `floor` (at least len(ess)) and each size
+    in combination order; None when the cap stops the scan.
+
+    A size with a single candidate is always tried: `ess` at len(ess)
+    and all of `order` at len(order).  Any other size is tried only when
+    `order` holds at most `cap_primes` primes.  The full prime set is
+    equivalent and holds the empty clause under each prime's falsifier,
+    so a sound `good` accepts it; a rejection raises `IntegrityError`."""
     others = [c for c in order if c not in ess]
-    for size in range(start, len(order) + 1):
-        for combo in itertools.combinations(others, size - len(ess)):
+    for size in range(floor, len(order) + 1):
+        extra = size - len(ess)
+        if 0 < extra < len(others) and len(order) > cap_primes:
+            return None
+        for combo in itertools.combinations(others, extra):
             sub = ess | frozenset(combo)
             if good(sub):
                 return sub
@@ -80,8 +90,9 @@ def k_base(primes, k, mode="heuristic", cap_primes=18):
     Heuristic: seed with the essential primes, add the rest by ascending
     size until the subset is equivalent and within hardness k, then sweep
     removals once by descending size so the result is minimal
-    clause-wise.  Exhaustive mode instead scans subsets by ascending size
-    for a true minimum.
+    clause-wise.  Exhaustive mode is `smallest_base` from the essential
+    primes, which every equivalent subset holds: a true minimum, or
+    `CapExceededError` when the cap stops the search.
     """
     primes = frozenset(primes)
     g = pack_set(primes)
@@ -91,19 +102,14 @@ def k_base(primes, k, mode="heuristic", cap_primes=18):
     def level(sub):
         return hd_at_most(sub, k, g)
 
-    def good(sub):
-        return equivalent_subset(sub, g) and level(sub)
-
     if mode == "exhaustive":
-        # every equivalent subset contains all essential primes, so a
-        # good essential core is already the unique minimum
-        if good(ess):
-            return KBase(clauses=unpack_set(ess), level=k)
-        if len(order) > cap_primes:
+        base = smallest_base(
+            order, ess, lambda sub: equivalent_subset(sub, g) and level(sub),
+            len(ess), cap_primes)
+        if base is None:
             raise CapExceededError(
                 "exhaustive base search capped at %d primes" % cap_primes)
-        return KBase(clauses=unpack_set(
-            smallest_base(order, ess, good, len(ess) + 1)), level=k)
+        return KBase(clauses=unpack_set(base), level=k)
 
     # an equivalent-but-too-hard essential core would be noteworthy; the
     # flag records whether additions started from an equivalent set

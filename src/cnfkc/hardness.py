@@ -194,11 +194,17 @@ def whd(f, cap_vars=24, primes=None):
     return _worst_falsifier(f, _closure(f, cap_vars, primes), _whd_unsat)[0]
 
 
-def _whd_unsat(g):
-    order = sorted_masks(g)
-    for k in itertools.count():
-        if k_res_packed(order, k)[0]:
-            return k
+def _least_level(refutes):
+    """The measure, on unsatisfiable packed clause-sets g, of the least
+    level at which `refutes(g in sorted_masks order, level)` holds."""
+    def measure(g):
+        order = sorted_masks(g)
+        return next(k for k in itertools.count() if refutes(order, k))
+    return measure
+
+
+_whd_unsat = _least_level(lambda order, k: k_res_packed(order, k)[0])
+_wid_unsat = _least_level(width_packed)
 
 
 def whd_at_most(g, k, primes):
@@ -211,13 +217,6 @@ def whd_at_most(g, k, primes):
 def wid(f, cap_vars=24, primes=None):
     """Symmetric width: every clause of the refutation bounded."""
     return _worst_falsifier(f, _closure(f, cap_vars, primes), _wid_unsat)[0]
-
-
-def _wid_unsat(g):
-    order = sorted_masks(g)
-    for w in itertools.count():
-        if width_packed(order, w):
-            return w
 
 
 def phd(f, cap_vars=24, primes=None):

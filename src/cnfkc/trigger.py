@@ -15,8 +15,8 @@ from math import comb
 
 from .compile import equivalent_subset, greedy_base, smallest_base
 from .core import (bits, clause_key, flip, pack, pack_set, sorted_clauses,
-                   sorted_masks, unpack_set)
-from .errors import CapExceededError, IntegrityError, ParseError
+                   unpack_set)
+from .errors import ParseError
 from .hardness import whd_at_most
 from .primes import essential_primes, prime_implicates
 from .trees import depth_subtrees, is_leaf, leaf_paths, tree_stats
@@ -262,8 +262,12 @@ def min_equivalent_size(f, k, mode="exhaustive", cap_primes=18,
                         hypergraph=None, tau=None):
     """Smallest equivalent subset of the primes with asymmetric width <= k.
 
-    Exhaustive mode scans subsets by ascending size, forced to contain
-    the essential primes and to hit every trigger edge.  Heuristic mode
+    Exhaustive mode is `compile.smallest_base` from the floor
+    max(tau.lower_bound, |essential primes|), over the subsets holding
+    the essential primes and hitting every trigger edge.  When the cap
+    stops it, the floor is returned flagged inexact, with no
+    representative.  When tau forces every prime, the full set is the
+    single candidate and is tried whatever the cap.  Heuristic mode
     greedily adds primes by ascending size, then removes by descending
     size in one sweep (`compile.greedy_base`, as `k_base` does), and
     reports the result as an upper bound only.
@@ -274,41 +278,33 @@ def min_equivalent_size(f, k, mode="exhaustive", cap_primes=18,
     """
     if primes is None:
         primes = prime_implicates(f)
-    g = pack_set(primes)
-    vs = sorted_masks(g)  # the hypergraph's vertex order
     if essential is None:
         essential = essential_primes(f, primes=primes)
-    ess = pack_set(essential)
     if hypergraph is None:
         hypergraph = trigger_hypergraph(f, k, primes=primes)
     if tau is None:
         tau = transversal_number(hypergraph, cap_nodes=cap_nodes)
-    floor = max(tau.lower_bound, len(essential))
+    vs = [pack(c) for c in hypergraph.vertices]
+    g = frozenset(vs)
+    ess = pack_set(essential)
+    floor = max(tau.lower_bound, len(ess))
 
     def level(sub):
         return whd_at_most(sub, k, g)
-
-    def good(sub):
-        return equivalent_subset(sub, g) and level(sub)
 
     if mode == "heuristic":
         rep = greedy_base(vs, ess, level)[0]
         return MinEquivResult(size=len(rep), representative=unpack_set(rep),
                               exact=False, lower_bound=floor)
-    if floor >= len(vs) and tau.exact:
-        # the transversal bound already forces the whole prime set
-        if not level(g):
-            raise IntegrityError("prime set itself exceeds width %d" % k)
-        return MinEquivResult(size=len(vs), representative=unpack_set(g),
-                              exact=True, lower_bound=len(vs))
-    if len(vs) > cap_primes:
-        raise CapExceededError(
-            "exhaustive search capped at %d primes, got %d"
-            % (cap_primes, len(vs)))
     edges = [frozenset(vs[i] for i in e) for e in _dedupe_edges(hypergraph)]
     rep = smallest_base(vs, ess,
-                        lambda sub: all(e & sub for e in edges) and good(sub),
-                        floor)
+                        lambda sub: (all(e & sub for e in edges)
+                                     and equivalent_subset(sub, g)
+                                     and level(sub)),
+                        floor, cap_primes)
+    if rep is None:
+        return MinEquivResult(size=floor, representative=frozenset(),
+                              exact=False, lower_bound=floor)
     return MinEquivResult(size=len(rep), representative=unpack_set(rep),
                           exact=True, lower_bound=len(rep))
 

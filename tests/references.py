@@ -6,7 +6,10 @@ can compare the packed kernel against it for exact equality.  The two
 saturations are the exception: they keep the old clause order and no
 subsumption, and agree with the engine on the answer only.  Last,
 `phd_exhaustive` is p-hardness by its definition, the scan over every
-partial assignment that `hardness.phd` replaced.
+partial assignment that `hardness.phd` replaced, and
+`smallest_equivalent_subset` is the exact prime-subset search of
+`compile.smallest_base` with neither its floor nor its cap, checked by
+truth tables and, for asymmetric width, by `whd_by_definition`.
 """
 
 import itertools
@@ -20,6 +23,8 @@ from cnfkc.errors import CapExceededError
 from cnfkc.mpsdope import MuFlags, pure_clause
 from cnfkc.propagation import (REFUTED, PropagationResult, propagate_packed,
                                sat_oracle, unit_propagate)
+
+import oracles
 
 
 def propagate_frozenset(f, k, cache=None, select=None):
@@ -273,3 +278,34 @@ def phd_exhaustive(f, cap_vars=12):
             witness = {v: b for v, (b, _, _) in zip(vs, values)
                        if b is not None}
     return best, witness
+
+
+def whd_by_definition(f):
+    """Asymmetric width from its definition: over every partial
+    assignment phi leaving phi * f unsatisfiable (by truth table), the
+    worst least k at which `k_res_refutes_frozenset` refutes phi * f."""
+    worst = 0
+    for phi in oracles.partial_assignments(variables(f)):
+        g = apply_assignment(phi, f)
+        if oracles.satisfiable_tt(g):
+            continue
+        k = 0
+        while not k_res_refutes_frozenset(g, k)[0]:
+            k += 1
+        worst = max(worst, k)
+    return worst
+
+
+def smallest_equivalent_subset(primes, level):
+    """The first subset of the prime implicates `primes` that is
+    equivalent to them, by truth tables, and satisfies `level`, scanning
+    sizes upward and each size in combination order over
+    `sorted_clauses(primes)`."""
+    order = sorted_clauses(primes)
+    for size in range(len(order) + 1):
+        for combo in itertools.combinations(order, size):
+            sub = frozenset(combo)
+            if (all(oracles.implies_tt(sub, c) for c in primes - sub)
+                    and level(sub)):
+                return sub
+    raise AssertionError("no prime subset passes, not even all of them")

@@ -1,20 +1,36 @@
 """Hypothesis strategies shared by the property tests."""
 
+import itertools
+
 from hypothesis import example, strategies as st
 
 from cnfkc.core import BOT, clause
 
 
 @st.composite
-def clause_lists(draw):
+def clause_lists(draw, min_width=1):
     """Clause lists over at most five variables with small or large ids,
-    the empty clause allowed, and some clauses listed twice."""
+    each clause of `min_width` to four literals, the empty clause
+    allowed, and some clauses listed twice.
+
+    One draw in four also holds, over two or three of the variables,
+    the clause of every sign pattern, and a unit on another variable.
+    Those clauses are unsatisfiable, yet for k below their width no two
+    of them may resolve under k-resolution; the unit gets k >= 1 past
+    the shortcut for inputs with no clause of at most k literals."""
     vs = draw(st.lists(st.integers(1, 6) | st.integers(7, 2000),
-                       min_size=1, max_size=5, unique=True))
+                       min_size=min_width, max_size=5, unique=True))
     one = st.dictionaries(st.sampled_from(vs), st.sampled_from((1, -1)),
-                          min_size=1, max_size=4)
+                          min_size=min_width, max_size=4)
     cls = [frozenset(v * s for v, s in c.items())
            for c in draw(st.lists(one, max_size=8))]
+    if len(vs) >= 3 and draw(st.integers(0, 3)) == 3:
+        picked = draw(st.permutations(vs))
+        full = picked[:draw(st.integers(2, min(3, len(vs) - 1)))]
+        cls += [frozenset(v * s for v, s in zip(full, signs))
+                for signs in itertools.product((1, -1), repeat=len(full))]
+        cls.append(frozenset([picked[len(full)]
+                              * draw(st.sampled_from((1, -1)))]))
     if draw(st.integers(0, 7)) == 7:
         cls.append(BOT)
     if cls:

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import assume, given, settings
+
 from cnfkc.compile import (answer_query, canon_primes, enumerate_models,
                            equivalent_subset, greedy_base, k_base,
                            smallest_base)
@@ -15,6 +17,8 @@ from cnfkc.trees import extremal_tree, tree_to_clauses
 import oracles
 from oracles import check_query_against_oracle
 import pytest
+import references
+from strategies import clause_lists
 
 
 def cs(*clauses):
@@ -114,7 +118,46 @@ def test_smallest_base_rejecting_everything_is_an_integrity_error():
     primes = prime_implicates(cs([1, 2], [-1, 2], [3, 4]))
     with pytest.raises(IntegrityError):
         smallest_base(sorted_clauses(primes), frozenset(),
-                      lambda sub: False, 0)
+                      lambda sub: False, 0, len(primes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(clause_lists(min_width=2))
+def test_exact_searches_match_the_brute_force_reference(clauses):
+    """Exhaustive `k_base` and `min_equivalent_size` find what a scan of
+    every prime subset by size finds, checked by truth tables and the
+    definitions of hd and whd; under a cap that stops them, `k_base`
+    raises and `min_equivalent_size` flags a floor no larger than it."""
+    from cnfkc.trigger import min_equivalent_size
+    f = frozenset(clauses)
+    primes = prime_implicates(f)
+    assume(1 < len(primes) <= 10)
+    hd_of, whd_of = {}, {}
+    for k in range(3):
+        want = references.smallest_equivalent_subset(
+            primes, lambda sub: hd_of.setdefault(
+                sub, oracles.hd_by_definition(sub)) <= k)
+        assert k_base(primes, k, mode="exhaustive",
+                      cap_primes=len(primes)).clauses == want
+        try:
+            capped = k_base(primes, k, mode="exhaustive", cap_primes=0)
+        except CapExceededError:
+            pass
+        else:
+            assert capped.clauses == want
+        want = references.smallest_equivalent_subset(
+            primes, lambda sub: whd_of.setdefault(
+                sub, references.whd_by_definition(sub)) <= k)
+        got = min_equivalent_size(f, k, cap_primes=len(primes),
+                                  primes=primes)
+        assert got.exact and got.representative == want
+        assert got.size == got.lower_bound == len(want)
+        capped = min_equivalent_size(f, k, cap_primes=0, primes=primes)
+        if capped.exact:
+            assert capped == got
+        else:
+            assert capped.representative == frozenset()
+            assert capped.size == capped.lower_bound <= len(want)
 
 
 def _implication_cycles(seed):

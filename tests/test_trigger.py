@@ -334,10 +334,24 @@ def test_min_equivalent_heuristic_is_upper_bound():
 
 
 def test_min_equivalent_cap():
+    # 127 primes, 7 essential, tau's lower bound 11: past the cap the
+    # floor comes back flagged inexact, with no representative
     t = extremal_tree(2, 3)
     d = dope(tree_to_clauses(t))
-    with pytest.raises(CapExceededError):
-        min_equivalent_size(d.doped, 1, cap_primes=18)
+    r = min_equivalent_size(d.doped, 1, cap_primes=18)
+    assert not r.exact
+    assert r.size == r.lower_bound == 11
+    assert r.representative == frozenset()
+
+
+def test_min_equivalent_returns_a_good_essential_core_past_the_cap():
+    from cnfkc.cli import build_horn_chain
+    f = build_horn_chain(3).doped
+    primes = prime_implicates(f)
+    r = min_equivalent_size(f, 1, cap_primes=0)
+    assert len(primes) > len(f)
+    assert r.exact and r.size == r.lower_bound == len(f)
+    assert r.representative == f
 
 
 def test_min_equivalent_forced_by_tau_ignores_the_cap():
