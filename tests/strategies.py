@@ -9,9 +9,9 @@ from cnfkc.core import BOT, clause
 
 @st.composite
 def clause_lists(draw, min_width=1):
-    """Clause lists over at most five variables with small or large ids,
-    each clause of `min_width` to four literals, the empty clause
-    allowed, and some clauses listed twice.
+    """Clause lists over at most five variables with small or large ids:
+    random clauses of `min_width` to four literals, the empty clause now
+    and then, and some clauses listed twice.
 
     One draw in four also holds, over two or three of the variables,
     the clause of every sign pattern, and a unit on another variable.

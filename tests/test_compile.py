@@ -1,3 +1,4 @@
+import functools
 import random
 
 from hypothesis import assume, given, settings
@@ -132,11 +133,11 @@ def test_exact_searches_match_the_brute_force_reference(clauses):
     f = frozenset(clauses)
     primes = prime_implicates(f)
     assume(1 < len(primes) <= 10)
-    hd_of, whd_of = {}, {}
+    hd_of = functools.cache(oracles.hd_by_definition)
+    whd_of = functools.cache(references.whd_by_definition)
     for k in range(3):
         want = references.smallest_equivalent_subset(
-            primes, lambda sub: hd_of.setdefault(
-                sub, oracles.hd_by_definition(sub)) <= k)
+            primes, lambda sub: hd_of(sub) <= k)
         assert k_base(primes, k, mode="exhaustive",
                       cap_primes=len(primes)).clauses == want
         try:
@@ -146,8 +147,7 @@ def test_exact_searches_match_the_brute_force_reference(clauses):
         else:
             assert capped.clauses == want
         want = references.smallest_equivalent_subset(
-            primes, lambda sub: whd_of.setdefault(
-                sub, references.whd_by_definition(sub)) <= k)
+            primes, lambda sub: whd_of(sub) <= k)
         got = min_equivalent_size(f, k, cap_primes=len(primes),
                                   primes=primes)
         assert got.exact and got.representative == want
