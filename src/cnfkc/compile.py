@@ -22,13 +22,24 @@ class KBase:
     anomaly: bool = False
 
 
-def equivalent_subset(sub, primes):
+def equivalent_subset(sub, primes, shown=None):
     """Does the subset `sub` of the packed prime implicates entail all
-    of them?"""
-    return all(entails(sub, c) for c in primes - sub)
+    of them?
+
+    `shown`, when given, is a set of primes that `sub` is known to
+    entail: they are not tested again, and each prime found entailed
+    joins it.  Every superset of `sub` still entails what it holds, as
+    entailment is monotone under adding clauses."""
+    if shown is None:
+        shown = set()
+    for c in primes - sub - shown:
+        if not entails(sub, c):
+            return False
+        shown.add(c)
+    return True
 
 
-def greedy_base(order, ess, level):
+def greedy_base(order, ess, level, shown=None):
     """(base, added, removed) for the packed primes listed in `order`, in
     `sorted_masks` order: from the essential primes `ess`, add primes in
     `order` until the subset is equivalent to all of them and `level`
@@ -38,14 +49,21 @@ def greedy_base(order, ess, level):
     sweep keeps `current` equivalent, so `current - {c}` is equivalent
     iff it entails c.
 
+    The additions only grow `current`, so a prime it entails once stays
+    entailed: `shown` (the primes that `ess` is known to entail, if
+    given) collects them, and each step tests only the others, up to the
+    first that fails.
+
     One sweep leaves no prime removable, provided `level` is monotone
     under adding clauses, as entailment is: a prime kept against some
     `current` stays kept against every later, smaller one."""
     primes = frozenset(order)
+    if shown is None:
+        shown = set()
     current = ess
     added = []
     for c in order:
-        if equivalent_subset(current, primes) and level(current):
+        if equivalent_subset(current, primes, shown) and level(current):
             break
         if c not in current:
             current |= {c}
@@ -93,14 +111,20 @@ def k_base(primes, k, mode="heuristic", cap_primes=18):
     clause-wise.  Exhaustive mode is `smallest_base` from the essential
     primes, which every equivalent subset holds: a true minimum, or
     `CapExceededError` when the cap stops the search.
+
+    Both modes share one `proofs` dict of `hd_at_most`'s refutation
+    certificates, so a prime is refuted again only when a clause of its
+    last proof has gone; the heuristic one also shares the primes shown
+    entailed between the anomaly check and the additions.
     """
     primes = frozenset(primes)
     g = pack_set(primes)
     order = sorted_masks(g)
     ess = pack_set(essential_primes(primes, primes=primes))
+    proofs = {}  # one set of refutation certificates for the whole run
 
     def level(sub):
-        return hd_at_most(sub, k, g)
+        return hd_at_most(sub, k, g, proofs=proofs)
 
     if mode == "exhaustive":
         base = smallest_base(
@@ -113,8 +137,9 @@ def k_base(primes, k, mode="heuristic", cap_primes=18):
 
     # an equivalent-but-too-hard essential core would be noteworthy; the
     # flag records whether additions started from an equivalent set
-    anomaly = equivalent_subset(ess, g) and not level(ess)
-    base, added, removed = greedy_base(order, ess, level)
+    shown = set()
+    anomaly = equivalent_subset(ess, g, shown) and not level(ess)
+    base, added, removed = greedy_base(order, ess, level, shown)
     return KBase(clauses=unpack_set(base), level=k,
                  added=tuple(map(unpack, added)),
                  removed=tuple(map(unpack, removed)), anomaly=anomaly)
@@ -175,59 +200,78 @@ def answer_query(kind, f, k, clause=None, assignment=None, other=None,
     if kind == "ME":
         return enumerate_models(f, k, cap_models=cap_models)
     if kind == "MC":
-        return len(enumerate_models(f, k, cap_models=cap_models))
+        return count_models(f, k, cap_models=cap_models)
     raise ParseError("unknown query kind %r" % kind)
 
 
 def _derives(g, c, k):
     """Does level-k resolution refute the packed g under the falsifier
-    of the packed clause c (the CE answer for c)?"""
-    return k_res_packed(sorted_masks(falsify(g, c)), k)[0]
+    of the packed clause c (the CE answer for c)?  Yes at once when c is
+    in g, which the falsifier leaves as the empty clause."""
+    return c in g or k_res_packed(sorted_masks(falsify(g, c)), k)[0]
 
 
 def enumerate_models(f, k, cap_models=2 ** 20):
     """All total models over var(f), found by a decision tree whose dead
-    branches are cut by level-k refutation (never by full search)."""
+    branches are cut by level-k refutation (never by full search): each
+    satisfied cube of `_cubes`, expanded over its free variables in
+    ascending order, 0 first."""
+    vs = sorted(variables(f))
     out = []
-    _models_below(sorted(variables(f)), 0, {}, pack_set(f), k, cap_models,
-                  out)
-    return out
-
-
-def _models_below(vs, i, phi, g, k, cap_models, out):
-    """Append to `out` the models extending phi, which sets vs[:i] and
-    leaves the packed clause-set g; False if level-k resolution refutes g.
-
-    Not a closure: a recursive closure is a reference cycle, which would
-    keep `out` alive until the cyclic garbage collector reaches it."""
-    if not g:
-        rest = vs[i:]
+    for true, depth in _cubes(vs, 0, 0, pack_set(f), k):
+        phi, rest = _assignment(vs[:depth], true), vs[depth:]
         for bits in itertools.product((0, 1), repeat=len(rest)):
             model = dict(phi)
             model.update(zip(rest, bits))
             out.append(model)
             if len(out) > cap_models:
-                raise CapExceededError(
-                    "model enumeration exceeded %d" % cap_models)
+                raise _too_many(cap_models)
+    return out
+
+
+def count_models(f, k, cap_models=2 ** 20):
+    """len(enumerate_models(f, k, cap_models)), with the same errors,
+    from the cubes alone: a cube of depth d holds 2^(n - d) models."""
+    vs = sorted(variables(f))
+    count = 0
+    for _, depth in _cubes(vs, 0, 0, pack_set(f), k):
+        count += 1 << (len(vs) - depth)
+        if count > cap_models:
+            raise _too_many(cap_models)
+    return count
+
+
+def _too_many(cap_models):
+    return CapExceededError("model enumeration exceeded %d" % cap_models)
+
+
+def _assignment(vs, true):
+    """The assignment of the variables vs that the literal mask `true`
+    describes, in the order of vs."""
+    return {v: int(bool(true & literal_bit(v))) for v in vs}
+
+
+def _cubes(vs, i, true, g, k):
+    """Yield (true, i) when the assignment of vs[:i] whose true literals
+    are the mask `true` leaves the packed clause-set g empty; else split
+    on vs[i], 0 first, below every node that level-k resolution does not
+    refute.  Returns whether some cube was yielded below.  A node whose
+    g holds the empty clause is refuted without sorting g."""
+    if not g:
+        yield true, i
         return True
-    if k_res_packed(sorted_masks(g), k)[0]:
+    if k_res_packed([0] if 0 in g else sorted_masks(g), k)[0]:
         return False
     if i == len(vs):
         raise IntegrityError(
             "total assignment left a clause-set that is neither "
-            "satisfied nor refutable", witness=dict(phi))
-    zero = dict(phi)
-    zero[vs[i]] = 0
-    one = dict(phi)
-    one[vs[i]] = 1
+            "satisfied nor refutable", witness=_assignment(vs, true))
     b = literal_bit(vs[i])
     nb = flip(b)
-    left = _models_below(vs, i + 1, zero, instantiate(g, nb, b),
-                         k, cap_models, out)
-    right = _models_below(vs, i + 1, one, instantiate(g, b, nb),
-                          k, cap_models, out)
+    left = yield from _cubes(vs, i + 1, true, instantiate(g, nb, b), k)
+    right = yield from _cubes(vs, i + 1, true | b, instantiate(g, b, nb), k)
     if not (left or right):
         raise IntegrityError(
             "level-%d resolution missed an unsatisfiable branch" % k,
-            witness=dict(phi))
+            witness=_assignment(vs[:i], true))
     return True

@@ -8,12 +8,13 @@ import math
 from dataclasses import dataclass
 
 from .core import (BOT, SubsumptionIndex, bit_literal, bits,
-                   clause_falsifier, clause_key, falsify, flip, pack,
-                   pack_set, packed_variable_count, sorted_clauses,
+                   clause_falsifier, clause_key, falsify, flip, instantiate,
+                   pack, pack_set, packed_variable_count, sorted_clauses,
                    sorted_masks, union, unpack)
 from .errors import CapExceededError, IntegrityError
 from .primes import prime_implicates
-from .propagation import REFUTED, propagate_packed, sat_oracle
+from .propagation import (REFUTED, propagate_packed, sat_oracle,
+                          unit_refutation)
 
 
 def k_res_refutes(f, k, cap_clauses=200000, want_trace=False):
@@ -180,13 +181,40 @@ def hd(f, cap_vars=24, primes=None):
                             lambda g: _min_refute_level(g, cache))[0]
 
 
-def hd_at_most(g, k, primes, cache=None):
+def hd_at_most(g, k, primes, cache=None, proofs=None):
     """Fast check hd(g) <= k for the satisfiable packed clause-set g,
-    given its packed prime implicates."""
+    given its packed prime implicates: does level-k propagation refute g
+    under the falsifier of every prime?
+
+    `proofs`, when given, maps a prime to a certificate: a set of clauses
+    whose instance under the prime's falsifier level k refutes.  Level-k
+    refutation is monotone under adding clauses, so a prime whose
+    certificate lies within g is refuted without a check; every prime
+    checked and refuted gets a new one.  At level 1 it is the clauses
+    that unit propagation used to reach the empty clause
+    (`unit_refutation`, the one level-1 path here, with or without
+    `proofs`); at any other level, coarser, the clauses of g that the
+    falsifier leaves."""
     if cache is None:
         cache = {}
-    return all(0 in propagate_packed(falsify(g, c), k, cache)[0]
-               for c in primes)
+    if proofs is None:
+        proofs = {}
+    for c in primes:
+        cert = proofs.get(c)
+        if cert is not None and cert <= g:
+            continue
+        if k == 1:
+            cert = unit_refutation(g, flip(c))
+            if cert is None:
+                return False
+        else:
+            true = flip(c)
+            cert = frozenset(m for m in g if not m & true)
+            if 0 not in propagate_packed(instantiate(cert, true, c), k,
+                                         cache)[0]:
+                return False
+        proofs[c] = cert
+    return True
 
 
 def whd(f, cap_vars=24, primes=None):

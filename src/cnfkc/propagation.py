@@ -87,6 +87,57 @@ def propagate_packed(g, k, cache, select=None):
     return hit
 
 
+def unit_refutation(g, true):
+    """Level-1 refutation of the packed g under the assignment making the
+    literals of the mask `true` true: None when unit propagation reaches
+    no empty clause, else the clauses of g it used to reach one.
+
+    Those are the clause found empty and, back from its literals, the
+    clause that made each of their complements true: a subset of g whose
+    own instance under `true` unit propagation refutes.  Refutation by
+    unit propagation is confluent, so the answer is that of
+    `propagate_packed(instantiate(g, true, flip(true)), 1)`; only the
+    subset depends on the scan order.  (The loops over bits are inlined:
+    this is the kernel of `hardness.hd_at_most` at level 1.)"""
+    false = flip(true)
+    reason = {}  # literal bit made true -> the clause that was its unit
+    live = [m for m in g if not m & true]
+    while live:
+        rest = []
+        for m in live:
+            if m & true:
+                continue
+            r = m & ~false
+            if not r:
+                return _refutation_cone(m, reason)
+            if r & (r - 1):
+                rest.append(m)
+                continue
+            reason[r] = m
+            true |= r
+            false |= flip(r)
+        if len(rest) == len(live):
+            return None
+        live = rest
+    return None
+
+
+def _refutation_cone(empty, reason):
+    """The clause `empty` and the units behind its false literals."""
+    used = {empty}
+    stack = [empty]
+    while stack:
+        m = flip(stack.pop())
+        while m:
+            b = m & -m
+            m ^= b
+            c = reason.get(b)
+            if c is not None and c not in used:
+                used.add(c)
+                stack.append(c)
+    return frozenset(used)
+
+
 def propagate_full(f, cache=None):
     """Propagation at the saturation level n(f) (higher levels are idle)."""
     return propagate(f, len(variables(f)), cache=cache)

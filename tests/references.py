@@ -10,16 +10,19 @@ partial assignment that `hardness.phd` replaced, and
 `smallest_equivalent_subset` is the exact prime-subset search of
 `compile.smallest_base` with neither its floor nor its cap, checked by
 truth tables and, for asymmetric width, by `whd_by_definition`.
+`models_by_walk` is the model walk that `compile.enumerate_models`
+replaced, copying the partial assignment as a dict at every node.
 """
 
 import itertools
 
 from cnfkc.core import (BOT, apply_assignment, assignment_satisfies,
-                        clause_falsifier, clause_key, instantiate,
+                        clause_falsifier, clause_key, flip, instantiate,
                         literal_assignment, literal_bit, literals_of,
                         pack_set, packed_variable_count, resolvable, resolve,
-                        sorted_clauses, variables)
-from cnfkc.errors import CapExceededError
+                        sorted_clauses, sorted_masks, variables)
+from cnfkc.errors import CapExceededError, IntegrityError
+from cnfkc.hardness import k_res_packed
 from cnfkc.mpsdope import MuFlags, pure_clause
 from cnfkc.propagation import (REFUTED, PropagationResult, propagate_packed,
                                sat_oracle, unit_propagate)
@@ -309,3 +312,48 @@ def smallest_equivalent_subset(primes, level):
                     and level(sub)):
                 return sub
     raise AssertionError("no prime subset passes, not even all of them")
+
+
+def models_by_walk(f, k, cap_models=2 ** 20):
+    """`compile.enumerate_models` as a walk that carries the partial
+    assignment as a dict, copied at every node, and appends each model."""
+    out = []
+    _models_below(sorted(variables(f)), 0, {}, pack_set(f), k, cap_models,
+                  out)
+    return out
+
+
+def _models_below(vs, i, phi, g, k, cap_models, out):
+    """Append to `out` the models extending phi, which sets vs[:i] and
+    leaves the packed clause-set g; False if level-k resolution refutes g."""
+    if not g:
+        rest = vs[i:]
+        for bits in itertools.product((0, 1), repeat=len(rest)):
+            model = dict(phi)
+            model.update(zip(rest, bits))
+            out.append(model)
+            if len(out) > cap_models:
+                raise CapExceededError(
+                    "model enumeration exceeded %d" % cap_models)
+        return True
+    if k_res_packed(sorted_masks(g), k)[0]:
+        return False
+    if i == len(vs):
+        raise IntegrityError(
+            "total assignment left a clause-set that is neither "
+            "satisfied nor refutable", witness=dict(phi))
+    zero = dict(phi)
+    zero[vs[i]] = 0
+    one = dict(phi)
+    one[vs[i]] = 1
+    b = literal_bit(vs[i])
+    nb = flip(b)
+    left = _models_below(vs, i + 1, zero, instantiate(g, nb, b),
+                         k, cap_models, out)
+    right = _models_below(vs, i + 1, one, instantiate(g, b, nb),
+                          k, cap_models, out)
+    if not (left or right):
+        raise IntegrityError(
+            "level-%d resolution missed an unsatisfiable branch" % k,
+            witness=dict(phi))
+    return True

@@ -38,6 +38,20 @@ def clause_lists(draw, min_width=1):
     return tuple(cls)
 
 
+@st.composite
+def short_clause_lists(draw):
+    """Three to eight distinct clauses of two or three literals over four
+    to six variables: inputs with a handful of prime implicates (2 to 12
+    in most draws), for the tests that reason over the primes."""
+    n = draw(st.integers(4, 6))
+    one = st.dictionaries(st.integers(1, n), st.sampled_from((1, -1)),
+                          min_size=2, max_size=3)
+    return tuple(frozenset(v * s for v, s in c.items())
+                 for c in draw(st.lists(one, min_size=3, max_size=8,
+                                        unique_by=lambda c: frozenset(
+                                            c.items()))))
+
+
 EXAMPLES = [
     (),
     (BOT,),

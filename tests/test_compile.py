@@ -3,13 +3,13 @@ import random
 
 from hypothesis import assume, given, settings
 
-from cnfkc.compile import (answer_query, canon_primes, enumerate_models,
-                           equivalent_subset, greedy_base, k_base,
-                           smallest_base)
-from cnfkc.core import (TOP, clause, pack_set, sorted_clauses, sorted_masks,
-                        unpack_set, variables)
+from cnfkc.compile import (_derives, answer_query, canon_primes,
+                           enumerate_models, equivalent_subset, greedy_base,
+                           k_base, smallest_base)
+from cnfkc.core import (TOP, clause, falsify, pack, pack_set,
+                        sorted_clauses, sorted_masks, unpack_set, variables)
 from cnfkc.errors import CapExceededError, IntegrityError, ParseError
-from cnfkc.hardness import hd, whd
+from cnfkc.hardness import hd, k_res_packed, whd
 from cnfkc.mpsdope import dope
 from cnfkc.primes import (equivalent, essential_primes, implies,
                           prime_implicates)
@@ -19,7 +19,7 @@ import oracles
 from oracles import check_query_against_oracle
 import pytest
 import references
-from strategies import clause_lists
+from strategies import clause_lists, short_clause_lists
 
 
 def cs(*clauses):
@@ -220,10 +220,10 @@ def test_greedy_base_tries_each_prime_for_removal_at_most_once(monkeypatch):
             targets.append(c)
         return real_entails(g, c)
 
-    def equivalent_subset(sub, primes):
+    def equivalent_subset(*args):
         checking.append(True)
         try:
-            return real_equivalent(sub, primes)
+            return real_equivalent(*args)
         finally:
             checking.pop()
 
@@ -236,6 +236,89 @@ def test_greedy_base_tries_each_prime_for_removal_at_most_once(monkeypatch):
         assert len(targets) == len(set(targets))
         removals += bool(removed)
     assert removals >= 5
+
+
+def test_k_base_certificates_cut_the_level_one_refutations(monkeypatch):
+    """A seeded satisfiable random 3-CNF (n = 10, m = 30, 58 primes):
+    `k_base` with its shared refutation certificates runs at most a
+    third of the level-1 refutations it runs without them, for the same
+    base."""
+    import cnfkc.compile
+    import cnfkc.hardness
+    rng = random.Random(1)
+    f = frozenset(clause(v * rng.choice((1, -1))
+                         for v in rng.sample(range(1, 11), 3))
+                  for _ in range(30))
+    primes = prime_implicates(f)
+    assert len(primes) == 58
+    real_refutation = cnfkc.hardness.unit_refutation
+    real_hd_at_most = cnfkc.compile.hd_at_most
+    calls = []
+
+    def unit_refutation(g, true):
+        calls.append(g)
+        return real_refutation(g, true)
+
+    monkeypatch.setattr(cnfkc.hardness, "unit_refutation", unit_refutation)
+    with_proofs = k_base(primes, 1)
+    reused = len(calls)
+    calls.clear()
+    monkeypatch.setattr(
+        cnfkc.compile, "hd_at_most",
+        lambda g, k, primes, cache=None, proofs=None:
+        real_hd_at_most(g, k, primes, cache))
+    assert k_base(primes, 1) == with_proofs
+    assert 3 * reused <= len(calls)
+
+
+def test_derives_answers_true_for_a_clause_of_the_set(monkeypatch):
+    """A clause of g leaves the empty clause under its falsifier, so the
+    saturation says yes; `_derives` says so without running it."""
+    import cnfkc.compile
+    f = cs([1, 2], [-1, 3], [2, -3, 4], [-4])
+    g = pack_set(f)
+    assert all(k_res_packed(sorted_masks(falsify(g, pack(c))), 0)[0]
+               for c in f)
+
+    def no_saturation(order, k):
+        raise AssertionError("saturation run for a clause of the set")
+
+    monkeypatch.setattr(cnfkc.compile, "k_res_packed", no_saturation)
+    for c in f:
+        assert _derives(g, pack(c), 0)
+        assert answer_query("CE", f, 0, clause=c)
+    assert answer_query("EQ", f, 0, other=f)
+
+
+def _outcome(run):
+    """What `run()` returns, or the type, message and witness it raises."""
+    try:
+        return run()
+    except (CapExceededError, IntegrityError) as err:
+        witness = getattr(err, "witness", None)
+        return type(err), str(err), witness and list(witness.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(short_clause_lists())
+def test_models_match_the_dict_walk(clauses):
+    """ME lists the models of `references.models_by_walk` in its order,
+    key order included, and MC counts them, at k = whd(f); below it and
+    under a small cap, both raise what the walk raises."""
+    f = frozenset(clauses)
+    top = whd(f)
+    want = references.models_by_walk(f, top)
+    got = enumerate_models(f, top)
+    assert [list(m.items()) for m in got] == [list(m.items()) for m in want]
+    assert answer_query("MC", f, top) == len(want)
+    for k in range(top + 1):
+        for cap in (2 ** 20, 3):
+            want = _outcome(lambda: references.models_by_walk(f, k, cap))
+            assert _outcome(lambda: enumerate_models(f, k, cap)) == want
+            if isinstance(want, list):
+                want = len(want)
+            assert _outcome(lambda: answer_query("MC", f, k,
+                                                 cap_models=cap)) == want
 
 
 def test_canon_primes_full_budget_equals_primes():

@@ -6,19 +6,21 @@ from hypothesis import example, given, settings, strategies as st
 
 from cnfkc.core import (BOT, TOP, SubsumptionIndex, _mask_key,
                         apply_assignment, bit_literal, bits, clause,
-                        clause_key, flip, literal_bit, pack, pack_set,
-                        resolvable, resolve, sorted_clauses, sorted_masks,
-                        union, unpack, unpack_set)
+                        clause_key, falsify, flip, instantiate, literal_bit,
+                        pack, pack_set, resolvable, resolve, sorted_clauses,
+                        sorted_masks, union, unpack, unpack_set)
 from cnfkc.errors import CapExceededError
 from cnfkc.hardness import hd, hd_at_most, k_res_refutes, width_refutes
 from cnfkc.mpsdope import classify_mu, is_mps, is_total_mps
 from cnfkc.primes import implies, prime_implicates
-from cnfkc.propagation import propagate, sat_oracle
+from cnfkc.propagation import (propagate, propagate_packed, sat_oracle,
+                               unit_refutation)
 from cnfkc.trigger import trigger_hypergraph
 
 import oracles
 import references
-from strategies import clause_list_examples, clause_lists
+from strategies import (clause_list_examples, clause_lists,
+                        short_clause_lists)
 import pytest
 
 
@@ -183,6 +185,60 @@ def test_a_cache_shared_by_two_clause_sets_keeps_them_apart():
     assert hd_at_most(pack_set(g), 1, primes, cache=cache)
     assert not hd_at_most(pack_set(g), 0, primes, cache=cache)
     assert hd(g) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(clause_lists())
+@clause_list_examples
+def test_unit_refutation_matches_level_one_propagation(clauses):
+    """Under the falsifier of each clause of `_clauses_over`, the kernel
+    refutes exactly when `propagate_packed` at level 1 does, and the
+    clauses it returns are a subset of the input that unit propagation
+    refutes on its own."""
+    g = pack_set(clauses)
+    for c in map(pack, _clauses_over(clauses, 23)):
+        true = flip(c)
+        cert = unit_refutation(g, true)
+        assert (cert is not None) == (
+            0 in propagate_packed(falsify(g, c), 1, {})[0])
+        if cert is not None:
+            assert cert <= g
+            assert 0 in propagate_packed(instantiate(cert, true, c), 1,
+                                         {})[0]
+
+
+def _grow_then_shrink(primes, rng):
+    """Subsets of the packed primes as a greedy base search walks them:
+    growing in `sorted_masks` order, then shrinking in a seeded order."""
+    sub = frozenset()
+    for c in sorted_masks(primes):
+        sub |= {c}
+        yield sub
+    for c in rng.sample(sorted_masks(primes), len(primes)):
+        sub -= {c}
+        yield sub
+
+
+@settings(max_examples=150, deadline=None)
+@given(short_clause_lists(), st.randoms(use_true_random=False))
+def test_hd_at_most_with_shared_proofs_answers_as_without(clauses, rng):
+    """One `proofs` dict over a grow-then-shrink walk changes no answer,
+    and each certificate stored is a subset of the clause-set it came
+    from that level-k propagation refutes under its prime's falsifier."""
+    primes = pack_set(prime_implicates(frozenset(clauses)))
+    for k in range(3):
+        proofs = {}
+        for sub in _grow_then_shrink(primes, rng):
+            before = dict(proofs)
+            want = all(0 in propagate_packed(falsify(sub, c), k, {})[0]
+                       for c in primes)
+            assert hd_at_most(sub, k, primes) == want
+            assert hd_at_most(sub, k, primes, proofs=proofs) == want
+            for c, cert in proofs.items():
+                if before.get(c) is not cert:
+                    assert cert <= sub
+                    assert 0 in propagate_packed(falsify(cert, c), k,
+                                                 {})[0]
 
 
 def test_implies_caps_the_instantiated_variables():
