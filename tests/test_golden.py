@@ -11,12 +11,18 @@ critical primes.  Each section starts with a `$ ` line naming what made
 it.  The doped tree at (k=2, h=3) pins only `kbase --k 2`, `measure`,
 `primes` and the report (about 0.1 s): its `kbase --k 0/1` and
 `trigger --k 1` take seconds to tens of seconds.
+
+Three more inputs pin `mps` (direct route) and `measure --measures
+hd,phd`: g_4; the doped tree at (k=0, h=3), which is satisfiable with
+hd 1 and phd 2; and an unsatisfiable random 3-CNF with hd 3, whose
+level-3 propagation runs level 2 and so the unit-propagation kernel.
 """
 
 import os
 import random
 
-from cnfkc.cli import build_extremal_doped, build_horn_chain, main
+from cnfkc.cli import (build_extremal_doped, build_g_n, build_horn_chain,
+                       main)
 from cnfkc.core import clause, emit_dimacs
 from cnfkc.hardness import hardness_report, report_to_json
 
@@ -38,12 +44,13 @@ def test_separation_golden_rows(capsys):
         assert "".join(lines) == fh.read()
 
 
-def random_cnf(seed, n, m):
-    """m distinct clauses of 2 or 3 literals over variables 1..n."""
+def random_cnf(seed, n, m, min_width=2):
+    """m distinct clauses of `min_width` to 3 literals over variables
+    1..n."""
     rng = random.Random(seed)
     out = set()
     while len(out) < m:
-        vs = rng.sample(range(1, n + 1), rng.randint(2, 3))
+        vs = rng.sample(range(1, n + 1), rng.randint(min_width, 3))
         out.add(clause(v * rng.choice((1, -1)) for v in vs))
     return frozenset(out)
 
@@ -52,6 +59,8 @@ COMMANDS = (("kbase", "--k", "0"), ("kbase", "--k", "1"),
             ("kbase", "--k", "2"),
             ("measure", "--measures", "hd,whd,wid,primes"),
             ("primes",), ("trigger", "--k", "1"))
+MPS = ("mps", "--route", "direct")
+HD_PHD = ("measure", "--measures", "hd,phd")
 
 # input name -> (clause-set, commands, whether the report is pinned)
 CORPUS = {
@@ -64,6 +73,10 @@ CORPUS = {
                     (COMMANDS[2], COMMANDS[3], COMMANDS[4]), True),
     "random-s1-n6": (random_cnf(1, 6, 8), COMMANDS, True),
     "random-s3-n7": (random_cnf(3, 7, 10), COMMANDS, True),
+    "g-4": (build_g_n(4), (MPS,), False),
+    "doped-k0-h3": (build_extremal_doped(0, 3)[1].doped, (MPS, HD_PHD),
+                    False),
+    "random3-s2-n8": (random_cnf(2, 8, 30, min_width=3), (HD_PHD,), False),
 }
 
 
