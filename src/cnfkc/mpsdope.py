@@ -8,8 +8,8 @@ premise sets of f, with the doping variables naming the members.
 import itertools
 from dataclasses import dataclass
 
-from .core import (bits, literals_of, pack, pack_set, sorted_clauses, union,
-                   variable_bits, variables)
+from .core import (bits, flip, literals_of, pack, pack_set, sorted_clauses,
+                   union, unpack, variable_bits, variables)
 from .errors import CapExceededError
 from .primes import implies, prime_implicates
 from .propagation import sat_packed
@@ -35,17 +35,32 @@ def classify_mu(f, cap_vars=24):
 
 def classify_mu_packed(g, cap_vars=24):
     """`classify_mu` on the packed clause-set g."""
-    if sat_packed(g, cap_vars) is not None:
+    if not is_mu_packed(g, cap_vars):
         return MuFlags(False, False, False)
-    mu = all(sat_packed(g - {m}, cap_vars) is not None for m in g)
     # saturated: widening any clause by a literal of another variable
     # makes it satisfiable
     vs = variable_bits(union(g))
-    smu = mu and all(
+    smu = all(
         sat_packed(g - {m} | {m | x}, cap_vars) is not None
         for m in g for b in bits(vs & ~(m | m >> 1)) for x in (b, b << 1))
     delta = len(g) - vs.bit_count()
-    return MuFlags(mu=mu, smu=smu, smu_delta1=smu and delta == 1)
+    return MuFlags(mu=True, smu=smu, smu_delta1=smu and delta == 1)
+
+
+def is_mu_packed(g, cap_vars=24):
+    """Is the packed clause-set g minimally unsatisfiable: unsatisfiable,
+    and satisfiable without any one of its clauses?"""
+    return (sat_packed(g, cap_vars) is None
+            and all(sat_packed(g - {m}, cap_vars) is not None for m in g))
+
+
+def _strip_pure(g):
+    """(pure clause, images) of the distinct packed clauses g: the
+    literals whose complement occurs in no clause, and the set of the
+    clauses with those literals removed."""
+    u = union(g)
+    pure = u & ~flip(u)
+    return pure, frozenset(m & ~pure for m in g)
 
 
 def is_mps(f, cap_vars=24):
@@ -57,12 +72,15 @@ def is_mps(f, cap_vars=24):
     complement of a pure literal, so the instantiation strips the pure
     literals, and two clauses contract when they leave the same image.
     """
-    pure = pure_clause(f)
-    p = pack(pure)
-    images = frozenset(pack(c) & ~p for c in f)
-    if len(images) < len(f):
-        return False, pure
-    return classify_mu_packed(images, cap_vars).mu, pure
+    flag, pure = is_mps_packed(pack_set(f), cap_vars)
+    return flag, unpack(pure)
+
+
+def is_mps_packed(g, cap_vars=24):
+    """`is_mps` on the distinct packed clauses g: (flag, packed pure
+    clause).  Only minimal unsatisfiability is tested, not saturation."""
+    pure, images = _strip_pure(g)
+    return len(images) == len(g) and is_mu_packed(images, cap_vars), pure
 
 
 @dataclass(frozen=True)
@@ -71,18 +89,18 @@ class MpsFamily:
 
 
 def mps_enumerate(f, cap_clauses=16, cap_vars=24):
-    """All minimal premise subsets of f, by direct subset scan."""
+    """All minimal premise subsets of f, by direct subset scan over the
+    clauses packed once."""
     if len(f) > cap_clauses:
         raise CapExceededError(
             "minimal premise enumeration capped at %d clauses" % cap_clauses)
-    order = sorted_clauses(f)
+    clause_of = {pack(c): c for c in sorted_clauses(f)}
     members = {}
-    for size in range(1, len(order) + 1):
-        for combo in itertools.combinations(order, size):
-            sub = frozenset(combo)
-            flag, pure = is_mps(sub, cap_vars=cap_vars)
+    for size in range(1, len(f) + 1):
+        for combo in itertools.combinations(clause_of, size):
+            flag, pure = is_mps_packed(combo, cap_vars)
             if flag:
-                members[sub] = pure
+                members[frozenset(map(clause_of.get, combo))] = unpack(pure)
     return MpsFamily(members=members)
 
 
@@ -134,8 +152,7 @@ def is_total_mps(f, cap_vars=24):
     is contraction-free and lands in saturated minimal unsatisfiability
     with deficiency 1.
     """
-    p = pack(pure_clause(f))
-    images = frozenset(pack(c) & ~p for c in f)
+    images = _strip_pure(pack_set(f))[1]
     return (len(images) == len(f)
             and classify_mu_packed(images, cap_vars).smu_delta1)
 

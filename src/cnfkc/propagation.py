@@ -52,8 +52,11 @@ def propagate_packed(g, k, cache, select=None):
     the assigned literals as single-bit masks in assignment order.
 
     `cache` maps (g, k) to the result for every level >= 1 visited.
-    Candidates are scanned in ascending bit order, which is the canonical
-    literal order, unless `select` reorders their literals.
+    Level 2 visits no level 1: whether unit propagation refutes g with a
+    candidate false is the yes/no answer of the kernel behind
+    `unit_refutation`, which equals level 1's because that refutation is
+    confluent.  Candidates are scanned in ascending bit order, which is
+    the canonical literal order, unless `select` reorders their literals.
     """
     if 0 in g:
         return REFUTED_PACKED, ()
@@ -74,6 +77,9 @@ def propagate_packed(g, k, cache, select=None):
             if k == 1:
                 # b falsified leaves the empty clause iff {b} is a unit
                 refuted = b in g
+            elif k == 2:
+                # level 1 is unit propagation, which the kernel decides
+                refuted = _unit_conflict(g, nb) is not None
             else:
                 refuted = 0 in propagate_packed(instantiate(g, nb, b), k - 1,
                                                 cache, select)[0]
@@ -97,10 +103,20 @@ def unit_refutation(g, true):
     own instance under `true` unit propagation refutes.  Refutation by
     unit propagation is confluent, so the answer is that of
     `propagate_packed(instantiate(g, true, flip(true)), 1)`; only the
-    subset depends on the scan order.  (The loops over bits are inlined:
-    this is the kernel of `hardness.hd_at_most` at level 1.)"""
+    subset depends on the scan order.  `hardness.hd_at_most` takes it as
+    the certificate of a level-1 refutation."""
+    hit = _unit_conflict(g, true)
+    return None if hit is None else _refutation_cone(*hit)
+
+
+def _unit_conflict(g, true):
+    """Unit propagation on the packed g under `true`, as `unit_refutation`
+    runs it: None when it reaches no empty clause, else that clause and
+    the reasons, each literal bit made true mapped to the clause that was
+    its unit.  The kernel of level 1 inside level 2 and of
+    `unit_refutation` (the loops over bits are inlined: it is hot)."""
     false = flip(true)
-    reason = {}  # literal bit made true -> the clause that was its unit
+    reason = {}
     live = [m for m in g if not m & true]
     while live:
         rest = []
@@ -109,7 +125,7 @@ def unit_refutation(g, true):
                 continue
             r = m & ~false
             if not r:
-                return _refutation_cone(m, reason)
+                return m, reason
             if r & (r - 1):
                 rest.append(m)
                 continue

@@ -52,6 +52,26 @@ def short_clause_lists(draw):
                                             c.items()))))
 
 
+@st.composite
+def unsat_3cnf(draw, max_vars=8):
+    """An unsatisfiable random 3-CNF over three to `max_vars` variables.
+
+    While some assignment satisfies every clause so far, one of them is
+    drawn and a clause of three distinct variables that it falsifies is
+    added, so each clause removes at least one model."""
+    n = draw(st.integers(3, max_vars))
+    models = list(itertools.product((1, -1), repeat=n))  # sign per variable
+    out = []
+    while models:
+        phi = models[draw(st.integers(0, len(models) - 1))]
+        vs = draw(st.lists(st.integers(1, n), min_size=3, max_size=3,
+                           unique=True))
+        c = frozenset(-v * phi[v - 1] for v in vs)
+        out.append(c)
+        models = [a for a in models if any(a[abs(x) - 1] * x > 0 for x in c)]
+    return tuple(out)
+
+
 EXAMPLES = [
     (),
     (BOT,),

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cnfkc.core import (BOT, TOP, SubsumptionIndex, _mask_key,
                         apply_assignment, bit_literal, bits, clause,
@@ -11,7 +11,8 @@ from cnfkc.core import (BOT, TOP, SubsumptionIndex, _mask_key,
                         sorted_masks, union, unpack, unpack_set)
 from cnfkc.errors import CapExceededError
 from cnfkc.hardness import hd, hd_at_most, k_res_refutes, width_refutes
-from cnfkc.mpsdope import classify_mu, is_mps, is_total_mps
+from cnfkc.mpsdope import (classify_mu, is_mps, is_total_mps, mps_enumerate,
+                           mps_via_doping, pure_clause)
 from cnfkc.primes import implies, prime_implicates
 from cnfkc.propagation import (propagate, propagate_packed, sat_oracle,
                                unit_refutation)
@@ -20,7 +21,7 @@ from cnfkc.trigger import trigger_hypergraph
 import oracles
 import references
 from strategies import (clause_list_examples, clause_lists,
-                        short_clause_lists)
+                        short_clause_lists, unsat_3cnf)
 import pytest
 
 
@@ -168,6 +169,58 @@ def test_mu_classification_matches_the_frozenset_references(clauses):
     assert classify_mu(f) == references.classify_mu_frozenset(f)
     assert is_mps(f) == references.is_mps_frozenset(f)
     assert is_total_mps(f) == references.is_total_mps_frozenset(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(short_clause_lists() | unsat_3cnf())
+def test_levels_two_and_three_match_the_frozenset_reference(clauses):
+    """Level 2, which asks the unit-propagation kernel, and level 3 above
+    it reduce and assign, in order, as the frozenset recursion does, with
+    and without `select`."""
+    f = frozenset(clauses)
+    for k in (2, 3):
+        for select in (None, _reversed):
+            want = references.propagate_frozenset(f, k, select=select)
+            got = propagate(f, k, select=select)
+            assert got == want
+            assert list(got.assigned.items()) == \
+                list(want.assigned.items())
+
+
+def _mu_core(f):
+    """A minimally unsatisfiable subset of the unsatisfiable f, by
+    deletion in canonical order."""
+    core = set(f)
+    for c in sorted_clauses(f):
+        if not sat_oracle(frozenset(core - {c}))[0]:
+            core.discard(c)
+    return frozenset(core)
+
+
+@settings(max_examples=100, deadline=None)
+@given(short_clause_lists() | unsat_3cnf())
+def test_is_mps_tests_only_minimal_unsatisfiability(clauses):
+    """`is_mps` is contraction-freeness plus `classify_mu(...).mu` of the
+    images, and agrees with the frozenset reference; on unsatisfiable
+    input, also on a minimally unsatisfiable core, which is a member."""
+    f = frozenset(clauses)
+    subsets = [f]
+    if not sat_oracle(f)[0]:
+        subsets.append(_mu_core(f))
+        assert is_mps(subsets[-1]) == (True, BOT)
+    for sub in subsets:
+        pure = pure_clause(sub)
+        images = frozenset(c - pure for c in sub)
+        want = len(images) == len(sub) and classify_mu(images).mu
+        assert is_mps(sub) == (want, pure) == references.is_mps_frozenset(sub)
+
+
+@settings(max_examples=60, deadline=None)
+@given(short_clause_lists() | unsat_3cnf(max_vars=4))
+def test_mps_enumerate_matches_the_doping_route(clauses):
+    f = frozenset(clauses)
+    assume(len(f) <= 12)
+    assert mps_enumerate(f).members == mps_via_doping(f).members
 
 
 def test_a_cache_shared_by_two_clause_sets_keeps_them_apart():
