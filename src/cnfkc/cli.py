@@ -352,8 +352,10 @@ def separation_row(k, h, cap_primes=18, cap_nodes=2 ** 20):
     me = min_equivalent_size(f, k, cap_primes=cap_primes,
                              cap_nodes=cap_nodes, primes=primes,
                              essential=rep.essential, hypergraph=g, tau=tau)
+    # a capped tau.value is only an upper bound on tau: min_equiv is
+    # held to tau's lower bound
     if me.exact:
-        if not (nu_value <= tau.value <= me.size):
+        if not (nu_value <= tau.value and tau.lower_bound <= me.size):
             raise IntegrityError(
                 "chain nu <= tau <= min_equiv broken at (k=%d,h=%d)"
                 % (k, h))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -334,6 +335,23 @@ def test_separation_row_chain():
     assert row.c == 4 and row.primes == 15 and row.hd == 1
     assert row.sperner_bound == 6
     assert row.sperner_bound <= row.nu_k <= row.tau_k <= row.min_equiv
+
+
+def test_separation_row_holds_min_equiv_to_a_capped_taus_lower_bound(
+        monkeypatch):
+    # a capped tau prints its upper bound, which may exceed an exact
+    # min_equiv; the chain check must compare tau's lower bound instead
+    real = cnfkc.cli.transversal_number
+
+    def capped(g, cap_nodes):
+        tau = real(g, cap_nodes=cap_nodes)
+        return dataclasses.replace(tau, value=tau.value + 2, exact=False,
+                                   upper_bound=tau.value + 2)
+
+    monkeypatch.setattr(cnfkc.cli, "transversal_number", capped)
+    row = separation_row(1, 2)
+    assert (row.tau_k, row.tau_exact) == (6, False)
+    assert (row.nu_k, row.min_equiv, row.min_equiv_exact) == (3, 5, True)
 
 
 def test_separation_skips_disallowed_pairs(capsys):

@@ -123,7 +123,7 @@ def test_smallest_base_rejecting_everything_is_an_integrity_error():
 
 
 @settings(max_examples=60, deadline=None)
-@given(clause_lists(min_width=2))
+@given(short_clause_lists())
 def test_exact_searches_match_the_brute_force_reference(clauses):
     """Exhaustive `k_base` and `min_equivalent_size` find what a scan of
     every prime subset by size finds, checked by truth tables and the
