@@ -64,12 +64,20 @@ def _load_config(path):
     return cfg
 
 
-def _setting(args, cfg, name, default, conv=int):
+def _int(text, what):
+    """`text` as an int, else a ParseError naming `what`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("%s must be an integer, got %r" % (what, text))
+
+
+def _setting(args, cfg, name, default):
     flag = getattr(args, name, None)
     if flag is not None:
         return flag
     if name in cfg:
-        return conv(cfg[name])
+        return _int(cfg[name], name)
     return default
 
 
@@ -81,7 +89,7 @@ def _read_clause_set(path):
 
 
 def _parse_clause_arg(text):
-    return clause(int(tok) for tok in text.split())
+    return clause(_int(tok, "clause literal") for tok in text.split())
 
 
 def _parse_assignment_arg(text):
@@ -93,9 +101,10 @@ def _parse_assignment_arg(text):
         if "=" not in part:
             raise ParseError("assignment entries look like var=bit")
         v, b = part.split("=", 1)
-        phi[int(v)] = int(b)
-        if phi[int(v)] not in (0, 1):
+        v, b = _int(v, "assignment variable"), _int(b, "assignment bit")
+        if b not in (0, 1):
             raise ParseError("assignment bit must be 0 or 1")
+        phi[v] = b
     return phi
 
 
@@ -143,6 +152,8 @@ def cmd_generate(args, cfg):
         f = build_g_n(n)
         meta["n"] = n
     elif family == "file":
+        if args.input is None:
+            raise ParseError("--family file needs --input")
         f = _read_clause_set(args.input)
     else:
         raise ParseError("unknown family %r" % family)
@@ -371,8 +382,8 @@ def separation_row(k, h, cap_primes=18, cap_nodes=2 ** 20):
 def _parse_range(text):
     if ":" in text:
         a, b = text.split(":", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(text)]
+        return list(range(_int(a, "range start"), _int(b, "range end") + 1))
+    return [_int(text, "range")]
 
 
 def cmd_separation(args, cfg):

@@ -1,16 +1,14 @@
-"""Level-k base compilation, subset-collapse prime computation, and the
-knowledge-compilation query suite."""
+"""Level-k base compilation and the knowledge-compilation query suite."""
 
 import itertools
 from dataclasses import dataclass
 
 from .core import (TOP, apply_assignment, falsify, flip, instantiate,
-                   literal_bit, pack, pack_set, sorted_clauses, sorted_masks,
-                   subsumption_eliminate, unpack, unpack_set, variables)
+                   literal_bit, pack, pack_set, sorted_masks, unpack,
+                   unpack_set, variables)
 from .errors import CapExceededError, IntegrityError, ParseError
 from .hardness import hd_at_most, k_res_packed, whd
-from .mpsdope import pure_clause
-from .primes import entails, essential_primes, implies
+from .primes import entails, essential_primes
 
 
 @dataclass(frozen=True)
@@ -143,29 +141,6 @@ def k_base(primes, k, mode="heuristic", cap_primes=18):
     return KBase(clauses=unpack_set(base), level=k,
                  added=tuple(map(unpack, added)),
                  removed=tuple(map(unpack, removed)), anomaly=anomaly)
-
-
-def canon_primes(f, big_k, cap_subsets=2 ** 22):
-    """Prime implicates via bounded-size subset collapse.
-
-    Every subset of at most big_k clauses entailing its own pure clause
-    contributes that clause; subsumption elimination keeps the minimal
-    ones.  Equals the full prime set whenever every prime has a premise
-    of at most big_k clauses (always true at big_k = c(f))."""
-    order = sorted_clauses(f)
-    total = sum(1 for size in range(1, big_k + 1)
-                for _ in itertools.combinations(range(len(order)), size))
-    if total > cap_subsets:
-        raise CapExceededError(
-            "subset collapse over %d candidates exceeds cap" % total)
-    collected = set()
-    for size in range(1, big_k + 1):
-        for combo in itertools.combinations(order, size):
-            sub = frozenset(combo)
-            pure = pure_clause(sub)
-            if implies(sub, pure):
-                collected.add(pure)
-    return subsumption_eliminate(collected)
 
 
 def answer_query(kind, f, k, clause=None, assignment=None, other=None,

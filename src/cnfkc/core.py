@@ -300,37 +300,6 @@ def subsumption_eliminate(f):
 
 
 @dataclass(frozen=True)
-class ClassifyFlags:
-    hitting: bool
-    one_regular_hitting: bool
-    horn: bool
-    contains_full_clause: bool
-
-
-def classify(f):
-    """Syntactic flags for f.
-
-    For TOP the pairwise conditions hold vacuously, while there is no
-    clause at all, so contains_full_clause is false.
-    """
-    cls = list(f)
-    hitting = True
-    one_regular = True
-    for i in range(len(cls)):
-        for j in range(i):
-            clash = sum(1 for x in cls[i] if -x in cls[j])
-            if clash == 0:
-                hitting = False
-            if clash != 1:
-                one_regular = False
-    horn = all(sum(1 for x in c if x > 0) <= 1 for c in cls)
-    allvars = variables(f)
-    full = any(variables([c]) == allvars for c in cls) if cls else False
-    return ClassifyFlags(hitting=hitting, one_regular_hitting=one_regular,
-                         horn=horn, contains_full_clause=full)
-
-
-@dataclass(frozen=True)
 class DimacsDocument:
     clauses: frozenset
     comments: tuple

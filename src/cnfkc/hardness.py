@@ -1,5 +1,5 @@
 """Hardness measures: propagation hardness, p-hardness, asymmetric and
-symmetric width, and the width-based resolution size bound."""
+symmetric width."""
 
 import heapq
 import itertools
@@ -293,13 +293,6 @@ def _phd_with_witness(f, primes, cache):
                 best = k
                 witness = clause_falsifier(c - {bit_literal(b)})
     return best, witness
-
-
-def res_lower_bound(whd_value, n):
-    """exp(whd^2 / (8 n)): a floor on resolution refutation size."""
-    if n == 0:
-        return 1.0
-    return math.exp(whd_value * whd_value / (8.0 * n))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .core import (bits, flip, literals_of, pack, pack_set, sorted_clauses,
                    union, unpack, variable_bits, variables)
 from .errors import CapExceededError
-from .primes import implies, prime_implicates
+from .primes import prime_implicates
 from .propagation import sat_packed
 
 
@@ -143,35 +143,3 @@ def mps_via_doping(f, cap_vars=24):
         member, pure = undope_prime(prime, d.doping_map)
         members[member] = pure
     return MpsFamily(members=members)
-
-
-def is_total_mps(f, cap_vars=24):
-    """Every non-empty subset of f a minimal premise set?
-
-    Holds exactly when instantiating by the falsifier of the pure clause
-    is contraction-free and lands in saturated minimal unsatisfiability
-    with deficiency 1.
-    """
-    images = _strip_pure(pack_set(f))[1]
-    return (len(images) == len(f)
-            and classify_mu_packed(images, cap_vars).smu_delta1)
-
-
-def has_max_doped_primes(f, cap_vars=24):
-    """Does the doped version reach 2^c - 1 prime implicates?
-
-    True iff f is a total minimal premise set and every clause keeps a
-    literal private to itself.
-    """
-    if not is_total_mps(f, cap_vars=cap_vars):
-        return False
-    for c in f:
-        others = literals_of(f - {c}) | {-x for x in literals_of(f - {c})}
-        if not any(x not in others for x in c):
-            return False
-    return True
-
-
-def entailed_pure(f, cap_vars=24):
-    """Does f entail its own pure clause?  (Prerequisite for premise sets.)"""
-    return implies(f, pure_clause(f), cap_vars=cap_vars)

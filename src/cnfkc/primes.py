@@ -1,10 +1,9 @@
-"""Prime implicates and implicants, entailment, equivalence."""
+"""Prime implicates, entailment, equivalence."""
 
 from dataclasses import dataclass
 
-from .core import (BOT, TOP, SubsumptionIndex, bits, clause_key, falsify,
-                   pack, pack_set, sorted_clauses, subsumption_eliminate,
-                   union, unpack_set, variable_bits)
+from .core import (SubsumptionIndex, bits, falsify, pack, pack_set, union,
+                   unpack_set, variable_bits)
 from .errors import CapExceededError
 from .propagation import sat_packed
 
@@ -57,33 +56,6 @@ def prime_implicates(f, cap_clauses=100000):
             raise CapExceededError(
                 "prime implicate closure exceeded %d clauses" % cap_clauses)
     return unpack_set(kept)
-
-
-def prime_implicants(f, cap_count=100000):
-    """Minimal clash-free hitting sets of f (term representation).
-
-    For unsatisfiable f there are none; for TOP the empty term qualifies.
-    """
-    if BOT in f:
-        return TOP
-    found = set()
-    order = sorted_clauses(f)
-
-    def rec(partial, idx):
-        if len(found) > cap_count:
-            raise CapExceededError(
-                "prime implicant enumeration exceeded %d terms" % cap_count)
-        while idx < len(order) and any(x in partial for x in order[idx]):
-            idx += 1
-        if idx == len(order):
-            found.add(frozenset(partial))
-            return
-        for x in clause_key(order[idx]):
-            if -x not in partial:
-                rec(partial | {x}, idx + 1)
-
-    rec(frozenset(), 0)
-    return subsumption_eliminate(found)
 
 
 def essential_primes(f, cap_vars=24, primes=None):

@@ -3,16 +3,12 @@
 from dataclasses import dataclass
 
 from .core import (BOT, apply_assignment, bit_literal, bits, clause_key,
-                   flip, instantiate, literal_assignment,
-                   literal_bit, pack_set, packed_variable_count, union,
-                   unpack_set, variables)
+                   flip, instantiate, literal_assignment, literal_bit,
+                   pack_set, packed_variable_count, union, unpack_set)
 from .errors import CapExceededError
 
 REFUTED = frozenset([BOT])
 REFUTED_PACKED = frozenset([0])
-
-# sentinel returned by forced_literals on unsatisfiable input
-ALL_FORCED = "all"
 
 
 @dataclass(frozen=True)
@@ -154,11 +150,6 @@ def _refutation_cone(empty, reason):
     return frozenset(used)
 
 
-def propagate_full(f, cache=None):
-    """Propagation at the saturation level n(f) (higher levels are idle)."""
-    return propagate(f, len(variables(f)), cache=cache)
-
-
 def unit_propagate(f):
     """Plain unit-clause propagation, written directly (no recursion).
 
@@ -228,20 +219,3 @@ def sat_packed(g, cap_vars=24):
         stack.append((g, model, b))
     return None
 
-
-def forced_literals(f, cap_vars=24):
-    """Literals true in every total model of f.
-
-    Returns the sentinel ALL_FORCED when f is unsatisfiable (every literal
-    is vacuously forced).
-    """
-    g = pack_set(f)
-    if sat_packed(g, cap_vars) is None:
-        return ALL_FORCED
-    forced = set()
-    for v in sorted(variables(f)):
-        for x in (v, -v):
-            b = literal_bit(x)
-            if sat_packed(instantiate(g, flip(b), b), cap_vars) is None:
-                forced.add(x)
-    return frozenset(forced)

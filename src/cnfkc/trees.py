@@ -7,9 +7,7 @@ saturated minimally unsatisfiable clause-sets of deficiency 1, and the
 Horton-Strahler number of the tree is the propagation hardness.
 """
 
-import json
 from dataclasses import dataclass
-from math import comb
 
 from .core import BOT, apply_assignment
 from .errors import IntegrityError, ParseError
@@ -52,12 +50,6 @@ def tree_stats(t):
     return TreeStats(hs=hs, height=1 + max(a.height, b.height),
                      leaves=a.leaves + b.leaves,
                      nodes=1 + a.nodes + b.nodes)
-
-
-def inner_variables(t):
-    if is_leaf(t):
-        return set()
-    return {t.var} | inner_variables(t.left) | inner_variables(t.right)
 
 
 def _check_labels(t):
@@ -139,27 +131,6 @@ def _rebuild(f):
     return Inner(var=v, left=_rebuild(left), right=_rebuild(right))
 
 
-def apply_literal_to_tree(t, x):
-    """Tree counterpart of instantiating by x -> 1.
-
-    The node labeled with var(x) drops the subtree whose edge literal
-    became false and its sibling takes the node's place.
-    """
-    if abs(x) not in inner_variables(t):
-        raise ParseError("variable %d labels no inner node" % abs(x))
-    return _apply_lit(t, x)
-
-
-def _apply_lit(t, x):
-    if is_leaf(t):
-        return t
-    if t.var == abs(x):
-        return t.right if x > 0 else t.left
-    return Inner(var=t.var,
-                 left=_apply_lit(t.left, x),
-                 right=_apply_lit(t.right, x))
-
-
 def extremal_tree(k, h):
     """Canonical largest tree of Horton-Strahler number k and height h.
 
@@ -189,11 +160,6 @@ def extremal_tree(k, h):
         else:
             built.append(LEAF)
     return built.pop()
-
-
-def alpha(k, h):
-    """Leaf count of the extremal tree: sum of C(h, i) for i <= k."""
-    return sum(comb(h, i) for i in range(0, min(k, h) + 1))
 
 
 def pure_of_leafset(t, addrs):
@@ -234,30 +200,6 @@ def depth_subtrees(t, k):
         raise ParseError("leaf above the requested depth")
     return ([("0" + p, s) for p, s in depth_subtrees(t.left, k - 1)]
             + [("1" + p, s) for p, s in depth_subtrees(t.right, k - 1)])
-
-
-def tree_to_json(t):
-    def conv(node):
-        if is_leaf(node):
-            return "leaf"
-        return {"var": node.var, "left": conv(node.left),
-                "right": conv(node.right)}
-
-    return json.dumps(conv(t), sort_keys=True)
-
-
-def tree_from_json(text):
-    def conv(obj):
-        if obj == "leaf":
-            return LEAF
-        if isinstance(obj, dict) and set(obj) == {"var", "left", "right"}:
-            return Inner(var=int(obj["var"]), left=conv(obj["left"]),
-                         right=conv(obj["right"]))
-        raise ParseError("bad tree json node: %r" % (obj,))
-
-    t = conv(json.loads(text))
-    _check_labels(t)
-    return t
 
 
 def tree_to_term(t):

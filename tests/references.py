@@ -234,18 +234,6 @@ def is_mps_frozenset(f, cap_vars=24):
     return flags.mu, pure
 
 
-def is_total_mps_frozenset(f, cap_vars=24):
-    """`mpsdope.is_total_mps` by per-clause frozenset images."""
-    if not f:
-        return False
-    phi = clause_falsifier(pure_clause(f))
-    images = _clause_images(phi, f)
-    if len(set(images)) != len(images):
-        return False
-    return classify_mu_frozenset(frozenset(images),
-                                 cap_vars=cap_vars).smu_delta1
-
-
 def phd_exhaustive(f, cap_vars=12):
     """p-hardness by its definition, with the first assignment needing it:
     for each of the 3^n partial assignments phi (each variable unset, 0,

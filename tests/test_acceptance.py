@@ -11,14 +11,14 @@ import math
 import random
 
 from cnfkc.cli import build_g_n, build_horn_chain, separation_row
-from cnfkc.compile import answer_query, canon_primes, k_base
+from cnfkc.compile import answer_query, k_base
 from cnfkc.core import (BOT, TOP, apply_assignment, clause, measures,
                         variables)
 from cnfkc.hardness import hd, k_res_refutes, whd, wid
 from cnfkc.mpsdope import (dope, mps_enumerate, mps_via_doping, pure_clause)
 from cnfkc.primes import equivalent, prime_implicates
 from cnfkc.propagation import sat_oracle
-from cnfkc.trees import (LEAF, Inner, apply_literal_to_tree, clauses_to_tree,
+from cnfkc.trees import (LEAF, Inner, clauses_to_tree,
                          doped_clause_of_leafset, extremal_tree, leaf_paths,
                          pure_of_leafset, tree_stats, tree_to_clauses)
 from cnfkc.trigger import (matching_number, min_equivalent_size,
@@ -68,7 +68,7 @@ def test_criterion_1_worked_examples():
           "worked tree branching number / height")
     check(failures, tree_to_clauses(WORKED_TREE) == WORKED_CLAUSES,
           "worked tree clause-set")
-    t2 = apply_literal_to_tree(WORKED_TREE, 2)
+    t2 = clauses_to_tree(apply_assignment({2: 1}, WORKED_CLAUSES))
     check(failures,
           tree_to_clauses(t2) == cs([1, 4], [1, -4], [-1, 5], [-1, -5]),
           "instantiation of the worked tree at variable 2")
@@ -268,8 +268,6 @@ def test_criterion_9_oracle_equivalences():
             failures.append("hardness oracle mismatch on instance %d" % i)
         if prime_implicates(f) != oracles.prime_implicates_bruteforce(f):
             failures.append("prime oracle mismatch on instance %d" % i)
-        if canon_primes(f, len(f)) != prime_implicates(f):
-            failures.append("subset collapse mismatch on instance %d" % i)
         k = whd(f)
         sat = oracles.satisfiable_tt(f)
         if answer_query("CO", f, k) != sat:

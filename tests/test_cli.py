@@ -144,6 +144,29 @@ def test_satlib_percent_trailer_is_a_parse_error(tmp_path, capsys):
     assert "bad token '%'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config", [
+    (("query", "--kind", "CE", "--k", "1", "--clause", "1 a", "IN"), None),
+    (("query", "--kind", "IM", "--k", "1", "--assignment", "1=x", "IN"),
+     None),
+    (("separation", "--k-range", "a", "--h-range", "2"), None),
+    (("separation", "--k-range", "1", "--h-range", "2"), "cap_primes = x\n"),
+    (("generate", "--family", "file"), None),
+])
+def test_malformed_arguments_are_parse_errors(argv, config, tmp_path,
+                                              capsys):
+    # a malformed integer or a missing input is a ParseError: exit 2 and
+    # one error line, not a traceback
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 1 1\n1 0\n")
+    argv = [str(path) if a == "IN" else a for a in argv]
+    if config is not None:
+        cfg = tmp_path / "cnfkc.cfg"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)] + argv
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cap_exceeded_exit_code(tmp_path, capsys):
     path = tmp_path / "many.cnf"
     f = frozenset(clause([v]) for v in range(1, 19))

@@ -3,9 +3,9 @@ import random
 
 from hypothesis import assume, given, settings
 
-from cnfkc.compile import (_derives, answer_query, canon_primes,
-                           enumerate_models, equivalent_subset, greedy_base,
-                           k_base, smallest_base)
+from cnfkc.compile import (_derives, answer_query, enumerate_models,
+                           equivalent_subset, greedy_base, k_base,
+                           smallest_base)
 from cnfkc.core import (TOP, clause, falsify, pack, pack_set,
                         sorted_clauses, sorted_masks, unpack_set, variables)
 from cnfkc.errors import CapExceededError, IntegrityError, ParseError
@@ -319,31 +319,6 @@ def test_models_match_the_dict_walk(clauses):
                 want = len(want)
             assert _outcome(lambda: answer_query("MC", f, k,
                                                  cap_models=cap)) == want
-
-
-def test_canon_primes_full_budget_equals_primes():
-    rng = random.Random(84)
-    for _ in range(25):
-        f = oracles.random_clause_set(rng, max_n=4, max_c=5)
-        assert canon_primes(f, len(f)) == prime_implicates(f)
-
-
-def test_canon_primes_small_budget_examples():
-    assert canon_primes(cs([1, 2], [-1, 2]), 2) == cs([2])
-    from cnfkc.cli import build_g_n
-    g3 = build_g_n(3)
-    small = canon_primes(g3, 1)
-    # one-clause premises only keep the clauses themselves; the real prime
-    # set needs the whole formula as a premise
-    assert small == frozenset(g3)
-    assert small != prime_implicates(g3)
-    assert canon_primes(g3, len(g3)) == prime_implicates(g3)
-
-
-def test_canon_primes_cap():
-    f = frozenset(clause([v]) for v in range(1, 13))
-    with pytest.raises(CapExceededError):
-        canon_primes(f, len(f), cap_subsets=100)
 
 
 def test_query_co_ce_against_oracle():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnfkc.core import (BOT, TOP, apply_assignment, classify, clause,
+from cnfkc.core import (BOT, TOP, apply_assignment, clause,
                         clause_falsifier, emit_dimacs, literal_assignment,
                         measures, parse_dimacs, parse_dimacs_document,
                         resolve, ResolutionError, subsumption_eliminate,
@@ -85,22 +85,6 @@ def test_subsumption():
     assert subsumption_eliminate(cs([1], [1, 2])) == cs([1])
     f = cs([1, 2], [-1, 3])
     assert subsumption_eliminate(f) == f
-
-
-def test_classify_one_regular():
-    flags = classify(cs([-1, 2], [-2, 3], [-3, 1]))
-    assert flags.one_regular_hitting and flags.hitting
-
-
-def test_classify_horn_and_full():
-    flags = classify(cs([1], [-1, 2], [-1, -2]))
-    assert flags.horn and flags.contains_full_clause
-
-
-def test_classify_top():
-    flags = classify(TOP)
-    assert flags.hitting and flags.one_regular_hitting and flags.horn
-    assert not flags.contains_full_clause
 
 
 lits = st.integers(min_value=-6, max_value=6).filter(lambda x: x != 0)

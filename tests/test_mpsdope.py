@@ -3,10 +3,8 @@ import random
 from cnfkc.core import BOT, clause, variables
 from cnfkc.errors import CapExceededError
 from cnfkc.hardness import hd
-from cnfkc.mpsdope import (classify_mu, dope, entailed_pure,
-                           has_max_doped_primes, is_mps, is_total_mps,
-                           mps_enumerate, mps_via_doping, pure_clause,
-                           undope_prime)
+from cnfkc.mpsdope import (classify_mu, dope, is_mps, mps_enumerate,
+                           mps_via_doping, pure_clause, undope_prime)
 from cnfkc.primes import implies, prime_implicates
 from cnfkc.trees import tree_to_clauses
 
@@ -141,15 +139,18 @@ def test_hd_doping_is_max_over_subsets():
 
 
 def test_is_total_mps_examples():
-    assert is_total_mps(cs([1, 2], [-1, 2], [-2]))
-    assert not is_total_mps(cs([1, 2], [-1], [-2]))
-    assert not is_total_mps(frozenset())
+    # total: every non-empty subset is a minimal premise set
+    def total(f):
+        return len(mps_enumerate(f).members) == 2 ** len(f) - 1
+
+    assert total(cs([1, 2], [-1, 2], [-2]))
+    assert not total(cs([1, 2], [-1], [-2]))
     rng = random.Random(48)
     for _ in range(10):
         t = oracles.random_tree(rng, rng.randint(2, 6))
         f = tree_to_clauses(t)
-        assert is_total_mps(f)
-        assert is_total_mps(dope(f).doped)
+        assert total(f)
+        assert total(dope(f).doped)
 
 
 def test_has_max_doped_primes():
@@ -157,9 +158,6 @@ def test_has_max_doped_primes():
     for _ in range(10):
         t = oracles.random_tree(rng, rng.randint(2, 5))
         f = tree_to_clauses(t)
-        assert has_max_doped_primes(dope(f).doped)
-        if len(f) >= 2:
-            assert not has_max_doped_primes(f)
         assert (len(prime_implicates(dope(f).doped))
                 == 2 ** len(f) - 1)
 
@@ -171,7 +169,6 @@ def test_members_imply_pure_minimally():
         fam = mps_enumerate(f)
         for member, pure in fam.members.items():
             assert implies(member, pure)
-            assert entailed_pure(member)
             for c in member:
                 assert not implies(member - {c}, pure)
 

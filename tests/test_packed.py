@@ -11,7 +11,7 @@ from cnfkc.core import (BOT, TOP, SubsumptionIndex, _mask_key,
                         sorted_masks, union, unpack, unpack_set)
 from cnfkc.errors import CapExceededError
 from cnfkc.hardness import hd, hd_at_most, k_res_refutes, width_refutes
-from cnfkc.mpsdope import (classify_mu, is_mps, is_total_mps, mps_enumerate,
+from cnfkc.mpsdope import (classify_mu, is_mps, mps_enumerate,
                            mps_via_doping, pure_clause)
 from cnfkc.primes import implies, prime_implicates
 from cnfkc.propagation import (propagate, propagate_packed, sat_oracle,
@@ -168,7 +168,6 @@ def test_mu_classification_matches_the_frozenset_references(clauses):
     f = frozenset(clauses)
     assert classify_mu(f) == references.classify_mu_frozenset(f)
     assert is_mps(f) == references.is_mps_frozenset(f)
-    assert is_total_mps(f) == references.is_total_mps_frozenset(f)
 
 
 @settings(max_examples=100, deadline=None)

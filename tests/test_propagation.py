@@ -1,9 +1,7 @@
 import random
 
 from cnfkc.core import BOT, apply_assignment, clause, variables
-from cnfkc.propagation import (ALL_FORCED, REFUTED, forced_literals,
-                               propagate, propagate_full, sat_oracle,
-                               unit_propagate)
+from cnfkc.propagation import REFUTED, propagate, sat_oracle, unit_propagate
 from cnfkc.errors import CapExceededError
 
 import oracles
@@ -37,10 +35,12 @@ def test_diff_example_levels():
 
 
 def test_saturation_level():
+    # level n(f) is the saturation level: higher levels are idle
     f = cs([1], [2, 3])
-    r = propagate_full(f)
+    r = propagate(f, len(variables(f)))
     assert r.reduced == cs([2, 3]) and r.assigned == {1: 1}
-    assert propagate_full(cs([1], [-1])).refuted
+    assert propagate(f, len(variables(f)) + 1) == r
+    assert propagate(cs([1], [-1]), 1).refuted
 
 
 def test_monotone_in_k():
@@ -107,10 +107,10 @@ def test_equisatisfiable_and_forced():
             else:
                 assert oracles.satisfiable_tt(r.reduced) == sat
             if sat:
-                forced = forced_literals(f)
+                # every assigned literal holds in every model of f
                 for v, b in r.assigned.items():
                     x = v if b == 1 else -v
-                    assert x in forced
+                    assert oracles.implies_tt(f, clause([x]))
 
 
 def test_sat_oracle_against_truth_table():
@@ -127,14 +127,6 @@ def test_sat_oracle_cap():
     f = frozenset([clause([v]) for v in range(1, 30)])
     with pytest.raises(CapExceededError):
         sat_oracle(f)
-
-
-def test_forced_literals_examples():
-    assert forced_literals(cs([1])) == frozenset([1])
-    assert forced_literals(cs([1, 2], [-1, -2])) == frozenset()
-    chain = cs([1, -2], [2, -3], [3, 1])
-    assert 1 in forced_literals(chain)
-    assert forced_literals(cs([1], [-1])) is ALL_FORCED
 
 
 def test_refuted_reduced_is_bot_singleton():

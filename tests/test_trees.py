@@ -1,18 +1,17 @@
 import inspect
 import random
 import sys
+from math import comb
 
 from cnfkc.cli import main
 from cnfkc.core import BOT, apply_assignment, clause, variables
 from cnfkc.errors import IntegrityError, ParseError
 from cnfkc.hardness import hd
 from cnfkc.mpsdope import dope
-from cnfkc.trees import (LEAF, Inner, alpha, apply_literal_to_tree,
-                         clauses_to_tree, depth_subtrees,
+from cnfkc.trees import (LEAF, Inner, clauses_to_tree, depth_subtrees,
                          doped_clause_of_leafset, extremal_tree, is_leaf,
-                         leaf_paths, pure_of_leafset, tree_from_json,
-                         tree_stats, tree_to_clauses, tree_to_json,
-                         tree_to_term)
+                         leaf_paths, pure_of_leafset, tree_stats,
+                         tree_to_clauses, tree_to_term)
 
 import oracles
 import pytest
@@ -71,31 +70,27 @@ def test_roundtrip_random_corpus():
 
 
 def test_apply_literal_example():
-    t2 = apply_literal_to_tree(T6, 2)
+    # v2 -> 1 drops v2's left subtree, and its right one takes its place
+    t2 = clauses_to_tree(apply_assignment({2: 1}, F6))
+    assert t2 == Inner(1, Inner(4, LEAF, LEAF), Inner(5, LEAF, LEAF))
     assert tree_to_clauses(t2) == cs([1, 4], [1, -4], [-1, 5], [-1, -5])
-    assert tree_to_clauses(t2) == apply_assignment({2: 1}, F6)
 
 
 def test_apply_literal_matches_instantiation():
+    # instantiating a path clause-set at an inner variable, either way,
+    # leaves a path clause-set
     rng = random.Random(62)
     for _ in range(60):
-        t = oracles.random_tree(rng, rng.randint(2, 10))
-        inner = sorted(v for v in variables(tree_to_clauses(t)))
-        v = rng.choice(inner)
-        x = v * rng.choice((1, -1))
-        t2 = apply_literal_to_tree(t, x)
-        phi = {v: 1 if x > 0 else 0}
-        assert tree_to_clauses(t2) == apply_assignment(phi, tree_to_clauses(t))
-        # the result stays a path clause-set
-        assert clauses_to_tree(tree_to_clauses(t2)) == t2
+        f = tree_to_clauses(oracles.random_tree(rng, rng.randint(2, 10)))
+        v = rng.choice(sorted(variables(f)))
+        g = apply_assignment({v: rng.randint(0, 1)}, f)
+        assert tree_to_clauses(clauses_to_tree(g)) == g
 
 
 def test_apply_root_of_smallest():
-    t = Inner(1, LEAF, LEAF)
-    assert apply_literal_to_tree(t, 1) is LEAF
-    assert tree_to_clauses(apply_literal_to_tree(t, 1)) == frozenset([BOT])
-    with pytest.raises(ParseError):
-        apply_literal_to_tree(t, 2)
+    g = apply_assignment({1: 1}, tree_to_clauses(Inner(1, LEAF, LEAF)))
+    assert g == frozenset([BOT])
+    assert clauses_to_tree(g) is LEAF
 
 
 def test_extremal_tree_shapes():
@@ -146,14 +141,15 @@ def test_extremal_tree_measures():
             t = extremal_tree(k, h)
             st = tree_stats(t)
             assert st.hs == k and st.height == h
-            assert st.leaves == alpha(k, h)
+            # alpha(k, h): the sum of C(h, i) over i <= k
+            assert st.leaves == sum(comb(h, i) for i in range(k + 1))
 
 
 def test_alpha_values():
-    assert alpha(2, 3) == 7
-    assert alpha(0, 0) == 1
+    assert tree_stats(extremal_tree(2, 3)).leaves == 7
+    assert tree_stats(extremal_tree(0, 0)).leaves == 1
     for k in range(1, 6):
-        assert alpha(k, k) == 2 ** k
+        assert tree_stats(extremal_tree(k, k)).leaves == 2 ** k
 
 
 def test_pure_of_leafset_example():
@@ -210,12 +206,11 @@ def test_doped_leafsets_enumerate_primes():
 
 
 def test_full_clause_iff_hs_at_most_1():
-    from cnfkc.core import classify
     rng = random.Random(65)
     for _ in range(60):
         t = oracles.random_tree(rng, rng.randint(1, 10))
         f = tree_to_clauses(t)
-        has_full = classify(f).contains_full_clause
+        has_full = any(variables([c]) == variables(f) for c in f)
         assert has_full == (tree_stats(t).hs <= 1)
 
 
@@ -228,10 +223,6 @@ def test_depth_subtrees():
 
 
 def test_serialization():
-    rng = random.Random(66)
-    for _ in range(40):
-        t = oracles.random_tree(rng, rng.randint(1, 10))
-        assert tree_from_json(tree_to_json(t)) == t
     assert tree_to_term(Inner(1, LEAF, LEAF)) == "(1 . .)"
     assert tree_to_term(LEAF) == "."
 
