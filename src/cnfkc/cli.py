@@ -48,6 +48,11 @@ def build_g_n(n):
     return frozenset(cls)
 
 
+# the keys a config file may set, and the output formats of `separation`
+_CONFIG_KEYS = ("cap_vars", "cap_primes", "format")
+_FORMATS = ("csv", "json", "table")
+
+
 def _load_config(path):
     cfg = {}
     if path is None:
@@ -60,7 +65,11 @@ def _load_config(path):
             if "=" not in line:
                 raise ParseError("bad config line: %r" % line)
             key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ParseError("unknown config key %r (known: %s)"
+                                 % (key, ", ".join(_CONFIG_KEYS)))
+            cfg[key] = value.strip()
     return cfg
 
 
@@ -104,6 +113,8 @@ def _parse_assignment_arg(text):
         v, b = _int(v, "assignment variable"), _int(b, "assignment bit")
         if b not in (0, 1):
             raise ParseError("assignment bit must be 0 or 1")
+        if v in phi:
+            raise ParseError("variable %d assigned twice" % v)
         phi[v] = b
     return phi
 
@@ -382,19 +393,26 @@ def separation_row(k, h, cap_primes=18, cap_nodes=2 ** 20):
 def _parse_range(text):
     if ":" in text:
         a, b = text.split(":", 1)
-        return list(range(_int(a, "range start"), _int(b, "range end") + 1))
+        a, b = _int(a, "range start"), _int(b, "range end")
+        if a > b:
+            raise ParseError("range %r is reversed: %d > %d" % (text, a, b))
+        return list(range(a, b + 1))
     return [_int(text, "range")]
 
 
 def cmd_separation(args, cfg):
     cap_primes = _setting(args, cfg, "cap_primes", 18)
+    fmt = args.format or cfg.get("format", "csv")
+    if fmt not in _FORMATS:
+        raise ParseError("format must be one of %s, got %r"
+                         % (", ".join(_FORMATS), fmt))
+    ks, hs = _parse_range(args.k_range), _parse_range(args.h_range)
     rows = []
-    for k in _parse_range(args.k_range):
-        for h in _parse_range(args.h_range):
+    for k in ks:
+        for h in hs:
             if h < k + 1:
                 continue
             rows.append(separation_row(k, h, cap_primes=cap_primes))
-    fmt = args.format or cfg.get("format", "csv")
     if fmt == "json":
         doc = [dict(zip(ROW_FIELDS, [getattr(r, f) for f in ROW_FIELDS]))
                for r in rows]
@@ -514,7 +532,7 @@ def build_parser():
     sp.add_argument("--k-range", dest="k_range", required=True)
     sp.add_argument("--h-range", dest="h_range", required=True)
     sp.add_argument("--cap-primes", dest="cap_primes", type=int)
-    sp.add_argument("--format", choices=["csv", "json", "table"])
+    sp.add_argument("--format", choices=_FORMATS)
     common(sp, with_input=False)
     sp.set_defaults(func=cmd_separation)
 

@@ -1,6 +1,7 @@
 """Hypothesis strategies shared by the property tests."""
 
 import itertools
+import random
 
 from hypothesis import example, strategies as st
 
@@ -70,6 +71,20 @@ def unsat_3cnf(draw, max_vars=8):
         out.append(c)
         models = [a for a in models if any(a[abs(x) - 1] * x > 0 for x in c)]
     return tuple(out)
+
+
+@st.composite
+def random_3cnf(draw):
+    """A seeded random 3-CNF over 12 to 16 variables with five to six
+    clauses per variable, unsatisfiable in most draws: large enough that
+    level 3 probes through level 2 and level 4 through level 3, and
+    dense enough that the frozenset reference at level 4 stays cheap."""
+    n = draw(st.integers(12, 16))
+    m = draw(st.integers(5 * n, 6 * n))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return tuple(frozenset(v * rng.choice((1, -1))
+                           for v in rng.sample(range(1, n + 1), 3))
+                 for _ in range(m))
 
 
 EXAMPLES = [

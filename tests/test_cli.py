@@ -167,6 +167,44 @@ def test_malformed_arguments_are_parse_errors(argv, config, tmp_path,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    # the answer would depend on which entry came last
+    (("query", "--kind", "IM", "--k", "1", "--assignment", "1=1,1=0", "IN"),
+     None, "variable 1 assigned twice"),
+    # a reversed range would print only the header
+    (("separation", "--k-range", "3:1", "--h-range", "2"), None,
+     "range '3:1' is reversed"),
+    (("separation", "--k-range", "1", "--h-range", "4:2"), None,
+     "range '4:2' is reversed"),
+    # an unknown format would print CSV
+    (("separation", "--k-range", "1", "--h-range", "2"), "format = xml\n",
+     "format must be one of csv, json, table, got 'xml'"),
+    # a misspelt key would be ignored
+    (("measure", "IN"), "cap_var = 4\n", "unknown config key 'cap_var'"),
+])
+def test_ambiguous_or_unknown_settings_are_parse_errors(argv, config, message,
+                                                        tmp_path, capsys):
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 2 1\n1 2 0\n")
+    argv = [str(path) if a == "IN" else a for a in argv]
+    if config is not None:
+        cfg = tmp_path / "cnfkc.cfg"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)] + argv
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_config_accepts_each_known_key(tmp_path, capsys):
+    cfg = tmp_path / "cnfkc.cfg"
+    cfg.write_text("cap_vars = 24\ncap_primes = 18\nformat = json\n")
+    code, out = run(capsys, "--config", str(cfg), "separation",
+                    "--k-range", "1", "--h-range", "2")
+    assert code == 0 and [r["k"] for r in json.loads(out)] == [1]
+
+
 def test_cap_exceeded_exit_code(tmp_path, capsys):
     path = tmp_path / "many.cnf"
     f = frozenset(clause([v]) for v in range(1, 19))

@@ -4,6 +4,7 @@ import random
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+import cnfkc.propagation
 from cnfkc.core import (BOT, TOP, SubsumptionIndex, _mask_key,
                         apply_assignment, bit_literal, bits, clause,
                         clause_key, falsify, flip, instantiate, literal_bit,
@@ -20,7 +21,7 @@ from cnfkc.trigger import trigger_hypergraph
 
 import oracles
 import references
-from strategies import (clause_list_examples, clause_lists,
+from strategies import (clause_list_examples, clause_lists, random_3cnf,
                         short_clause_lists, unsat_3cnf)
 import pytest
 
@@ -170,20 +171,64 @@ def test_mu_classification_matches_the_frozenset_references(clauses):
     assert is_mps(f) == references.is_mps_frozenset(f)
 
 
-@settings(max_examples=100, deadline=None)
-@given(short_clause_lists() | unsat_3cnf())
-def test_levels_two_and_three_match_the_frozenset_reference(clauses):
-    """Level 2, which asks the unit-propagation kernel, and level 3 above
-    it reduce and assign, in order, as the frozenset recursion does, with
-    and without `select`."""
-    f = frozenset(clauses)
-    for k in (2, 3):
-        for select in (None, _reversed):
-            want = references.propagate_frozenset(f, k, select=select)
+def _check_levels_and_dpll(f):
+    """Levels 2 to 4 reduce and assign, in order, as the frozenset
+    recursion does, with and without `select`, and the DPLL finds the
+    reference's model.  The reference shares one cache over the levels,
+    which changes none of its answers but keeps level 4 affordable."""
+    for select in (None, _reversed):
+        cache = {}
+        for k in (2, 3, 4):
+            want = references.propagate_frozenset(f, k, cache, select)
             got = propagate(f, k, select=select)
             assert got == want
             assert list(got.assigned.items()) == \
                 list(want.assigned.items())
+    assert sat_oracle(f) == references.sat_oracle_frozenset(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(short_clause_lists() | unsat_3cnf())
+# complementary units: unit propagation refutes before any probe, so
+# every candidate is assigned, the lowest first
+@example((clause([3]), clause([-3]), clause([1, 2])))
+# the units make -1 true: probing -1 refutes at once, and probing 1 is
+# the closure of the units itself
+@example((clause([-1]), clause([1, 2, 3]), clause([-2, 3]), clause([-3, 4])))
+def test_levels_two_to_four_and_the_dpll_match_the_frozenset_references(
+        clauses):
+    _check_levels_and_dpll(frozenset(clauses))
+
+
+@settings(max_examples=10, deadline=None)
+@given(random_3cnf())
+def test_levels_and_the_dpll_match_the_references_on_random_3cnf(clauses):
+    """On 12 to 16 variables, level 4 runs level 3 below it."""
+    _check_levels_and_dpll(frozenset(clauses))
+
+
+def test_level_three_instantiates_once_per_assigned_literal(monkeypatch):
+    """Level 3 decides its probes on masks over one occurrence index: on
+    an unsatisfiable random 3-CNF that level 2 leaves open and level 3
+    refutes, it copies the clause-set only to assign, not to probe."""
+    rng = random.Random(0)
+    f = frozenset(clause(v * rng.choice((1, -1))
+                         for v in rng.sample(range(1, 21), 3))
+                  for _ in range(100))
+    g = pack_set(f)
+    assert not sat_oracle(f)[0]
+    assert 0 not in propagate_packed(g, 2, {})[0]
+    calls = []
+    real = cnfkc.propagation.instantiate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cnfkc.propagation, "instantiate", counted)
+    reduced, assigned = propagate_packed(g, 3, {})
+    assert 0 in reduced
+    assert len(calls) <= len(assigned)
 
 
 def _mu_core(f):
