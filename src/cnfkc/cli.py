@@ -111,6 +111,9 @@ def _parse_assignment_arg(text):
             raise ParseError("assignment entries look like var=bit")
         v, b = part.split("=", 1)
         v, b = _int(v, "assignment variable"), _int(b, "assignment bit")
+        if v < 1:
+            raise ParseError("assignment variable must be at least 1, got %d"
+                             % v)
         if b not in (0, 1):
             raise ParseError("assignment bit must be 0 or 1")
         if v in phi:
@@ -353,7 +356,7 @@ def separation_row(k, h, cap_primes=18, cap_nodes=2 ** 20):
     vertex_index = {c: i for i, c in enumerate(g.vertices)}
     edges = []
     for leafset in witness:
-        cv = doped_clause_of_leafset(d, sorted(leafset))
+        cv = doped_clause_of_leafset(t, d, sorted(leafset))
         edges.append(g.edges[vertex_index[cv]])
     for i in range(len(edges)):
         for j in range(i):
@@ -407,12 +410,10 @@ def cmd_separation(args, cfg):
         raise ParseError("format must be one of %s, got %r"
                          % (", ".join(_FORMATS), fmt))
     ks, hs = _parse_range(args.k_range), _parse_range(args.h_range)
-    rows = []
-    for k in ks:
-        for h in hs:
-            if h < k + 1:
-                continue
-            rows.append(separation_row(k, h, cap_primes=cap_primes))
+    pairs = [(k, h) for k in ks for h in hs if h >= k + 1]
+    if not pairs:
+        raise ParseError("no (k, h) pair of the ranges has h >= k + 1")
+    rows = [separation_row(k, h, cap_primes=cap_primes) for k, h in pairs]
     if fmt == "json":
         doc = [dict(zip(ROW_FIELDS, [getattr(r, f) for f in ROW_FIELDS]))
                for r in rows]

@@ -155,7 +155,7 @@ def answer_query(kind, f, k, clause=None, assignment=None, other=None,
         if whd(f) > k:
             raise IntegrityError("input exceeds asymmetric width %d" % k)
     if kind == "CO":
-        return not k_res_packed(sorted_masks(pack_set(f)), k)[0]
+        return not k_res_packed(pack_set(f), k)[0]
     if kind == "CE":
         if clause is None:
             raise ParseError("CE needs a clause")
@@ -183,7 +183,7 @@ def _derives(g, c, k):
     """Does level-k resolution refute the packed g under the falsifier
     of the packed clause c (the CE answer for c)?  Yes at once when c is
     in g, which the falsifier leaves as the empty clause."""
-    return c in g or k_res_packed(sorted_masks(falsify(g, c)), k)[0]
+    return c in g or k_res_packed(falsify(g, c), k)[0]
 
 
 def enumerate_models(f, k, cap_models=2 ** 20):
@@ -230,12 +230,11 @@ def _cubes(vs, i, true, g, k):
     """Yield (true, i) when the assignment of vs[:i] whose true literals
     are the mask `true` leaves the packed clause-set g empty; else split
     on vs[i], 0 first, below every node that level-k resolution does not
-    refute.  Returns whether some cube was yielded below.  A node whose
-    g holds the empty clause is refuted without sorting g."""
+    refute.  Returns whether some cube was yielded below."""
     if not g:
         yield true, i
         return True
-    if k_res_packed([0] if 0 in g else sorted_masks(g), k)[0]:
+    if k_res_packed(g, k)[0]:
         return False
     if i == len(vs):
         raise IntegrityError(

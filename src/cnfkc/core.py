@@ -347,10 +347,6 @@ def parse_dimacs_document(text):
     return DimacsDocument(clauses=f, comments=tuple(comments))
 
 
-def parse_dimacs(text):
-    return parse_dimacs_document(text).clauses
-
-
 def emit_dimacs(f, comments=()):
     """Serialize f deterministically (canonical clause and literal order)."""
     lines = ["c %s" % c if c else "c" for c in comments]

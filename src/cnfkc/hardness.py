@@ -2,7 +2,6 @@
 symmetric width."""
 
 import heapq
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -10,7 +9,7 @@ from dataclasses import dataclass
 from .core import (BOT, SubsumptionIndex, bit_literal, bits,
                    clause_falsifier, clause_key, falsify, flip, instantiate,
                    pack, pack_set, packed_variable_count, sorted_clauses,
-                   sorted_masks, union, unpack)
+                   union, unpack)
 from .errors import CapExceededError, IntegrityError
 from .primes import prime_implicates
 from .propagation import (REFUTED, propagate_packed, sat_oracle,
@@ -24,40 +23,35 @@ def k_res_refutes(f, k, cap_clauses=200000, want_trace=False):
     of the empty clause: (clause, parent, parent) steps in the order they
     were derived, each parent an axiom or an earlier step.  It is *a*
     derivation, not a shortest one.  `cap_clauses` bounds the clauses
-    kept (see `_bounded_resolution`).
+    kept (see `k_res_packed`).
     """
-    refuted, trace = k_res_packed(sorted_masks(pack_set(f)), k, cap_clauses,
-                                  want_trace)
+    refuted, trace = k_res_packed(pack_set(f), k, cap_clauses=cap_clauses,
+                                  want_trace=want_trace)
     if trace is not None:
         trace = [tuple(map(unpack, step)) for step in trace]
     return refuted, trace
 
 
-def k_res_packed(order, k, cap_clauses=200000, want_trace=False):
-    """`k_res_refutes` on packed clauses given in `sorted_masks` order,
-    with a packed trace: k-resolution saturated shortest clause first,
-    with forward subsumption."""
-    return _bounded_resolution(order, k, math.inf, cap_clauses, want_trace)
-
-
-def _bounded_resolution(order, k, w, cap_clauses, want_trace=False):
-    """Resolution where, in every step, one parent has at most k literals
-    and every clause at most w: (refuted, packed trace when requested).
-
-    The given-clause loop (E; Schulz 2002).  The axioms, in `order`, and
-    then every kept resolvent wait in a passive queue, shortest first and
-    first in, first out within one size.  Each step takes the shortest
-    passive clause, resolves it against the active clauses (all of them
-    when it has at most k literals, else those that have) and makes it
-    active.  A resolvent is dropped when it has more than w literals,
-    was met before, or a kept clause subsumes it.  Dropping subsumed
-    ones is sound for both restrictions: a kept D within R is no longer
-    than R, so it can stand in for R as the bounded parent, and with
-    any E that R resolves with, D either resolves to a subset of R's
-    resolvent or is itself one.  So the answer is that of the
-    saturation that keeps every resolvent.  With k = w and every clause
-    of `order` within w literals, every clause is short: this is
+def k_res_packed(g, k, w=math.inf, cap_clauses=200000, want_trace=False):
+    """Resolution on the packed clause-set g (a container, in any order)
+    where, in every step, one parent has at most k literals and every
+    clause at most w: (refuted, packed trace when requested).  The
+    clauses of g longer than w are dropped first, so with k = w this is
     width-w resolution.
+
+    The given-clause loop (E; Schulz 2002).  The axioms, by size and
+    then mask, and then every kept resolvent wait in a passive queue,
+    shortest first and first in, first out within one size.  Each step
+    takes the shortest passive clause, resolves it against the active
+    clauses (all of them when it has at most k literals, else those
+    that have) and makes it active.  A resolvent is dropped when it has
+    more than w literals, was met before, or a kept clause subsumes it.
+    Dropping subsumed ones is sound for both restrictions: a kept D
+    within R is no longer than R, so it can stand in for R as the
+    bounded parent, and with any E that R resolves with, D either
+    resolves to a subset of R's resolvent or is itself one.  So the
+    answer is that of the saturation that keeps every resolvent, and
+    does not depend on the order of g.
 
     `cap_clauses` bounds the clauses kept, axioms included; dropped
     resolvents do not count.  The subsumed ones are remembered so that
@@ -70,14 +64,16 @@ def _bounded_resolution(order, k, w, cap_clauses, want_trace=False):
     of two or more literals: calls that derive no such resolvent pay
     nothing for it.
     """
-    if order and not order[0]:
+    if 0 in g:
         return True, ([] if want_trace else None)
-    if len(order) < 2 or order[0].bit_count() > k:
+    # kept clause -> its parents, the axioms first
+    seen = dict.fromkeys(c for c in g if c.bit_count() <= w)
+    passive = [(c.bit_count(), 0, c) for c in seen]
+    heapq.heapify(passive)
+    if len(passive) < 2 or passive[0][0] > k:
         return False, None  # no pair, or none with a parent of <= k literals
-    seen = dict.fromkeys(order)  # kept clause -> its parents, in order
     dropped = set()  # the subsumed resolvents met so far
     index = None
-    passive = [(c.bit_count(), i, c) for i, c in enumerate(order)]
     active = []
     small = []  # the active clauses of at most k literals
     while passive:
@@ -94,7 +90,7 @@ def _bounded_resolution(order, k, w, cap_clauses, want_trace=False):
                 seen[r] = (c, d)
                 return True, (_trace(seen) if want_trace else None)
             if index is None and r & (r - 1):
-                index = SubsumptionIndex(union(order), seen)
+                index = SubsumptionIndex(union(seen), seen)
             if index is not None and not index.add(r):
                 if len(dropped) >= cap_clauses:
                     dropped.clear()
@@ -127,21 +123,30 @@ def _trace(seen):
 
 def width_refutes(f, w, cap_clauses=200000):
     """Resolution refutation where every clause (axioms too) has size <= w."""
-    return width_packed(sorted_masks(pack_set(f)), w, cap_clauses)
+    return k_res_packed(pack_set(f), w, w, cap_clauses)[0]
 
 
-def width_packed(order, w, cap_clauses=200000):
-    """`width_refutes` on packed clauses given in `sorted_masks` order."""
-    return _bounded_resolution([c for c in order if c.bit_count() <= w],
-                               w, w, cap_clauses)[0]
+def _k_res_refutes(g, k):
+    """whd's refutation test: k-resolution on the packed g."""
+    return k_res_packed(g, k)[0]
 
 
-def _min_refute_level(g, cache):
-    """Smallest k with level-k propagation refuting the unsatisfiable
-    packed g."""
-    bound = packed_variable_count(g) + 1
-    for k in range(bound + 1):
-        if 0 in propagate_packed(g, k, cache)[0]:
+def _width_refutes(g, w):
+    """wid's refutation test: width-w resolution on the packed g."""
+    return k_res_packed(g, w, w)[0]
+
+
+def _propagation_refutes(cache):
+    """hd's refutation test: level-k propagation, sharing `cache`."""
+    return lambda g, k: 0 in propagate_packed(g, k, cache)[0]
+
+
+def _least_level(g, refutes):
+    """The least k at which `refutes(g, k)` holds, for the unsatisfiable
+    packed g.  Level-n propagation and resolution with no bound left both
+    refute at n = n(g), so a search past n + 1 is an integrity error."""
+    for k in range(packed_variable_count(g) + 2):
+        if refutes(g, k):
             return k
     raise IntegrityError("unsatisfiable input not refuted at saturation")
 
@@ -155,16 +160,17 @@ def _closure(f, cap_vars, primes):
     return prime_implicates(f) if sat_oracle(f, cap_vars)[0] else REFUTED
 
 
-def _worst_falsifier(f, primes, measure):
-    """(value, critical prime) of `measure`, defined on unsatisfiable
-    packed clause-sets, given f's prime closure: for unsatisfiable f, its
-    own measure and no prime; else the worst case over the falsifiers of
-    the primes, with the first critical prime in canonical order (0 and
-    none for TOP, which has no primes)."""
+def _worst_falsifier(f, primes, refutes):
+    """(level, critical prime), given f's prime closure and a refutation
+    test `refutes(g, k)` on packed clause-sets, monotone in k: for
+    unsatisfiable f, the `_least_level` of f itself and no prime; else
+    the worst `_least_level` over the falsifiers of the primes, with the
+    first critical prime in canonical order (0 and none for TOP, which
+    has no primes)."""
     g = pack_set(f)
     if BOT in primes:
-        return measure(g), None
-    return max(((measure(falsify(g, pack(c))), c)
+        return _least_level(g, refutes), None
+    return max(((_least_level(falsify(g, pack(c)), refutes), c)
                 for c in sorted_clauses(primes)),
                key=lambda vc: vc[0], default=(0, None))
 
@@ -176,9 +182,8 @@ def hd(f, cap_vars=24, primes=None):
     worst case over the prime implicates c of the level needed to refute
     the instantiation by the falsifier of c.
     """
-    cache = {}
     return _worst_falsifier(f, _closure(f, cap_vars, primes),
-                            lambda g: _min_refute_level(g, cache))[0]
+                            _propagation_refutes({}))[0]
 
 
 def hd_at_most(g, k, primes, cache=None, proofs=None):
@@ -219,32 +224,20 @@ def hd_at_most(g, k, primes, cache=None, proofs=None):
 
 def whd(f, cap_vars=24, primes=None):
     """Asymmetric width: one resolution parent bounded per step."""
-    return _worst_falsifier(f, _closure(f, cap_vars, primes), _whd_unsat)[0]
-
-
-def _least_level(refutes):
-    """The measure, on unsatisfiable packed clause-sets g, of the least
-    level at which `refutes(g in sorted_masks order, level)` holds."""
-    def measure(g):
-        order = sorted_masks(g)
-        return next(k for k in itertools.count() if refutes(order, k))
-    return measure
-
-
-_whd_unsat = _least_level(lambda order, k: k_res_packed(order, k)[0])
-_wid_unsat = _least_level(width_packed)
+    return _worst_falsifier(f, _closure(f, cap_vars, primes),
+                            _k_res_refutes)[0]
 
 
 def whd_at_most(g, k, primes):
     """Fast check whd(g) <= k for the satisfiable packed clause-set g,
     given its packed prime implicates."""
-    return all(k_res_packed(sorted_masks(falsify(g, c)), k)[0]
-               for c in primes)
+    return all(k_res_packed(falsify(g, c), k)[0] for c in primes)
 
 
 def wid(f, cap_vars=24, primes=None):
     """Symmetric width: every clause of the refutation bounded."""
-    return _worst_falsifier(f, _closure(f, cap_vars, primes), _wid_unsat)[0]
+    return _worst_falsifier(f, _closure(f, cap_vars, primes),
+                            _width_refutes)[0]
 
 
 def phd(f, cap_vars=24, primes=None):
@@ -274,7 +267,7 @@ def _phd_with_witness(f, primes, cache):
     the maximum is unchanged."""
     g = pack_set(f)
     if BOT in primes:
-        return _min_refute_level(g, cache), {}
+        return _least_level(g, _propagation_refutes(cache)), {}
     best = 0
     witness = {}
     for c in sorted_clauses(primes):
@@ -311,9 +304,9 @@ def hardness_report(f):
     primes = _closure(f, 24, None)
     cache = {}
     witnesses = {}
-    for name, measure in (("hd", lambda g: _min_refute_level(g, cache)),
-                          ("whd", _whd_unsat), ("wid", _wid_unsat)):
-        level, crit = _worst_falsifier(f, primes, measure)
+    for name, refutes in (("hd", _propagation_refutes(cache)),
+                          ("whd", _k_res_refutes), ("wid", _width_refutes)):
+        level, crit = _worst_falsifier(f, primes, refutes)
         witnesses[name] = {"critical_prime": crit, "level": level}
     level, phi = _phd_with_witness(f, primes, cache)
     witnesses["phd"] = {"assignment": phi, "level": level}

@@ -173,14 +173,13 @@ def pure_of_leafset(t, addrs):
     return frozenset(x for x in lits if -x not in lits)
 
 
-def doped_clause_of_leafset(doped, addrs):
+def doped_clause_of_leafset(t, doped, addrs):
     """Prime implicate of a doped tree clause-set picked by leaf addresses.
 
-    `doped` is the DopedClauseSet of a path clause-set; the result joins
-    the doping variables of the chosen leaves with the pure clause of
-    their path clauses.
+    `doped` is the DopedClauseSet of the path clause-set of the tree t;
+    the result joins the doping variables of the chosen leaves with the
+    pure clause of their path clauses.
     """
-    t = clauses_to_tree(doped.base)
     paths = leaf_paths(t)
     inverse = {c: u for u, c in doped.doping_map.items()}
     lits = set()

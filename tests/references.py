@@ -20,7 +20,7 @@ from cnfkc.core import (BOT, apply_assignment, assignment_satisfies,
                         clause_falsifier, clause_key, flip, instantiate,
                         literal_assignment, literal_bit, literals_of,
                         pack_set, packed_variable_count, resolvable, resolve,
-                        sorted_clauses, sorted_masks, variables)
+                        sorted_clauses, variables)
 from cnfkc.errors import CapExceededError, IntegrityError
 from cnfkc.hardness import k_res_packed
 from cnfkc.mpsdope import MuFlags, pure_clause
@@ -324,7 +324,7 @@ def _models_below(vs, i, phi, g, k, cap_models, out):
                 raise CapExceededError(
                     "model enumeration exceeded %d" % cap_models)
         return True
-    if k_res_packed(sorted_masks(g), k)[0]:
+    if k_res_packed(g, k)[0]:
         return False
     if i == len(vs):
         raise IntegrityError(

@@ -85,7 +85,7 @@ def test_criterion_1_worked_examples():
     u1 = inverse[clause([1, 2])]
     u3 = inverse[clause([-1, 3])]
     addr = sorted(leaf_paths(small))
-    cv = doped_clause_of_leafset(d, [addr[0], addr[2]])
+    cv = doped_clause_of_leafset(small, d, [addr[0], addr[2]])
     check(failures, cv == frozenset([2, 3, u1, u3]),
           "doped clause of the two-leaf subset")
     report(1, "worked examples", failures)
@@ -228,8 +228,8 @@ def test_criterion_7_matching_floor_rows():
     d = dope(tree_to_clauses(t))
     g = trigger_hypergraph(d.doped, 0)
     sets = sperner_witness(t, 0)
-    edges = [g.edges[g.vertices.index(doped_clause_of_leafset(d, sorted(v)))]
-             for v in sets]
+    edges = [g.edges[g.vertices.index(
+        doped_clause_of_leafset(t, d, sorted(v)))] for v in sets]
     for i in range(len(edges)):
         for j in range(i):
             check(failures, not (edges[i] & edges[j]),

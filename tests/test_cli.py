@@ -9,7 +9,8 @@ import sys
 import cnfkc
 from cnfkc.cli import (build_g_n, build_horn_chain, build_parser, main,
                        separation_row)
-from cnfkc.core import clause, emit_dimacs, measures, parse_dimacs
+from cnfkc.core import (clause, emit_dimacs, measures,
+                        parse_dimacs_document)
 
 import pytest
 
@@ -33,7 +34,7 @@ def test_generate_extremal_doped(capsys):
     code, out = run(capsys, "generate", "--family", "extremal_doped",
                     "--k", "1", "--h", "3")
     assert code == 0
-    f = parse_dimacs(out)
+    f = parse_dimacs_document(out).clauses
     assert len(f) == 7
     assert len(measures(f).__dict__) and measures(f).c == 7
 
@@ -42,15 +43,15 @@ def test_generate_horn_chain(capsys):
     code, out = run(capsys, "generate", "--family", "horn_chain",
                     "--h", "3")
     assert code == 0
-    m = measures(parse_dimacs(out))
+    m = measures(parse_dimacs_document(out).clauses)
     assert m.n == 7 and m.c == 4
 
 
 def test_generate_g_n(capsys):
     code, out = run(capsys, "generate", "--family", "g_n", "--n", "3")
     assert code == 0
-    assert parse_dimacs(out) == build_g_n(3)
-    assert len(parse_dimacs(out)) == 4
+    assert parse_dimacs_document(out).clauses == build_g_n(3)
+    assert len(parse_dimacs_document(out).clauses) == 4
 
 
 def test_generate_writes_metadata(tmp_path, capsys):
@@ -181,6 +182,12 @@ def test_malformed_arguments_are_parse_errors(argv, config, tmp_path,
      "format must be one of csv, json, table, got 'xml'"),
     # a misspelt key would be ignored
     (("measure", "IN"), "cap_var = 4\n", "unknown config key 'cap_var'"),
+    # no row has h >= k + 1, so only the header would print
+    (("separation", "--k-range", "3", "--h-range", "2"), None,
+     "no (k, h) pair of the ranges has h >= k + 1"),
+    # variable 0 occurs in no clause-set, so IM would answer false
+    (("query", "--kind", "IM", "--k", "1", "--assignment", "0=1", "IN"),
+     None, "assignment variable must be at least 1, got 0"),
 ])
 def test_ambiguous_or_unknown_settings_are_parse_errors(argv, config, message,
                                                         tmp_path, capsys):
@@ -306,7 +313,7 @@ def test_dope_command(tmp_path, capsys):
     target = tmp_path / "doped.cnf"
     code, _ = run(capsys, "dope", str(path), "--out", str(target))
     assert code == 0
-    m = measures(parse_dimacs(target.read_text()))
+    m = measures(parse_dimacs_document(target.read_text()).clauses)
     assert m.n == 5 and m.c == 3
     meta = json.loads((tmp_path / "doped.cnf.json").read_text())
     assert len(meta["doping_map"]) == 3
@@ -339,7 +346,8 @@ def test_kbase_command(tmp_path, capsys):
     assert code == 0
     meta = json.loads(out[out.index("{"):])
     assert meta["size"] == 4 and meta["minimal"]
-    assert parse_dimacs(out[:out.index("{")]) == build_horn_chain(3).doped
+    doc = parse_dimacs_document(out[:out.index("{")])
+    assert doc.clauses == build_horn_chain(3).doped
 
 
 def test_query_command(tmp_path, capsys):
@@ -477,9 +485,9 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys):
     assert hd_of("--config", str(cfg), "measure", str(path)) is None
     assert hd_of("measure", str(path)) == 0
     _, out = run(capsys, "generate", "--family", "g_n", "--n", "3")
-    assert parse_dimacs(out) == build_g_n(3)
+    assert parse_dimacs_document(out).clauses == build_g_n(3)
     _, out = run(capsys, "generate", "--family", "g_n", "--h", "2")
-    assert parse_dimacs(out) == build_g_n(2)
+    assert parse_dimacs_document(out).clauses == build_g_n(2)
     _, out = run(capsys, "separation", "--k-range", "1", "--h-range", "2",
                  "--format", "json")
     assert json.loads(out)[0]["primes"] == 15

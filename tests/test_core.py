@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from cnfkc.core import (BOT, TOP, apply_assignment, clause,
                         clause_falsifier, emit_dimacs, literal_assignment,
-                        measures, parse_dimacs, parse_dimacs_document,
+                        measures, parse_dimacs_document,
                         resolve, ResolutionError, subsumption_eliminate,
                         variables)
 from cnfkc.errors import ParseError
@@ -16,28 +16,29 @@ def cs(*clauses):
 
 
 def test_parse_basic():
-    f = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n")
+    f = parse_dimacs_document("p cnf 2 2\n1 2 0\n-1 0\n").clauses
     assert f == cs([1, 2], [-1])
 
 
 def test_parse_tautology_rejected():
     with pytest.raises(ParseError):
-        parse_dimacs("p cnf 1 1\n1 -1 0\n")
+        parse_dimacs_document("p cnf 1 1\n1 -1 0\n")
 
 
 def test_parse_empty_clause():
-    f = parse_dimacs("p cnf 1 1\n0\n")
+    f = parse_dimacs_document("p cnf 1 1\n0\n").clauses
     assert BOT in f
 
 
 def test_parse_duplicates_merge():
-    f = parse_dimacs("p cnf 2 3\n1 2 0\n2 1 0\n-1 0\n")
+    f = parse_dimacs_document("p cnf 2 3\n1 2 0\n2 1 0\n-1 0\n").clauses
     assert len(f) == 2
 
 
 def test_parse_accepts_a_header_clause_count_that_does_not_match():
     # duplicates merge, so a count check would reject valid inputs
-    assert parse_dimacs("p cnf 3 5\n1 -2 0\n") == cs([1, -2])
+    doc = parse_dimacs_document("p cnf 3 5\n1 -2 0\n")
+    assert doc.clauses == cs([1, -2])
 
 
 def test_parse_keeps_comments():
@@ -47,12 +48,12 @@ def test_parse_keeps_comments():
 
 def test_parse_bad_header():
     with pytest.raises(ParseError):
-        parse_dimacs("p dnf 1 1\n1 0\n")
+        parse_dimacs_document("p dnf 1 1\n1 0\n")
 
 
 def test_parse_unterminated():
     with pytest.raises(ParseError):
-        parse_dimacs("p cnf 2 1\n1 2\n")
+        parse_dimacs_document("p cnf 2 1\n1 2\n")
 
 
 def test_apply_satisfied_and_falsified():
@@ -106,7 +107,7 @@ def clause_sets(draw, max_c=6):
 @given(clause_sets())
 @settings(max_examples=60, deadline=None)
 def test_dimacs_roundtrip(f):
-    assert parse_dimacs(emit_dimacs(f)) == f
+    assert parse_dimacs_document(emit_dimacs(f)).clauses == f
 
 
 @given(clause_sets())

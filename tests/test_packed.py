@@ -10,8 +10,9 @@ from cnfkc.core import (BOT, TOP, SubsumptionIndex, _mask_key,
                         clause_key, falsify, flip, instantiate, literal_bit,
                         pack, pack_set, resolvable, resolve, sorted_clauses,
                         sorted_masks, union, unpack, unpack_set)
-from cnfkc.errors import CapExceededError
-from cnfkc.hardness import hd, hd_at_most, k_res_refutes, width_refutes
+from cnfkc.errors import CapExceededError, IntegrityError
+from cnfkc.hardness import (_least_level, hd, hd_at_most, k_res_packed,
+                            k_res_refutes, width_refutes)
 from cnfkc.mpsdope import (classify_mu, is_mps, mps_enumerate,
                            mps_via_doping, pure_clause)
 from cnfkc.primes import implies, prime_implicates
@@ -155,6 +156,39 @@ def test_engines_match_the_frozenset_references(clauses):
             assert trace is None
     for w in range(5):
         assert width_refutes(f, w) == references.width_refutes_frozenset(f, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clause_lists() | short_clause_lists())
+@clause_list_examples
+def test_saturation_answers_alike_on_any_clause_order(clauses):
+    """`k_res_packed` answers as the frozenset references of k-resolution
+    (w unbounded) and of width-w resolution (k = w) on the packed set, on
+    its `sorted_masks` list and on that list reversed, which puts a
+    longest clause first and the empty clause, if any, last."""
+    f = frozenset(clauses)
+    g = pack_set(f)
+    order = sorted_masks(g)
+    inputs = (g, order, order[::-1])
+    for k in range(4):
+        want = references.k_res_refutes_frozenset(f, k)[0]
+        assert [k_res_packed(h, k)[0] for h in inputs] == [want] * 3
+    for w in range(5):
+        want = references.width_refutes_frozenset(f, w)
+        assert [k_res_packed(h, w, w)[0] for h in inputs] == [want] * 3
+
+
+def test_least_level_raises_past_saturation():
+    g = pack_set(frozenset([clause([1]), clause([-1])]))
+    asked = []
+
+    def never(h, k):
+        asked.append(k)
+        return False
+
+    with pytest.raises(IntegrityError, match="not refuted at saturation"):
+        _least_level(g, never)
+    assert asked == [0, 1, 2]  # n(g) = 1, so levels 0 to n(g) + 1
 
 
 @settings(max_examples=200, deadline=None)

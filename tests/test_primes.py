@@ -78,7 +78,7 @@ def test_doped_tree_k1_h4_has_one_prime_per_leafset():
     assert len(addrs) == 11
     primes = prime_implicates(d.doped)
     assert len(primes) == 2 ** 11 - 1
-    assert primes == {doped_clause_of_leafset(d, combo)
+    assert primes == {doped_clause_of_leafset(t, d, combo)
                       for r in range(1, len(addrs) + 1)
                       for combo in itertools.combinations(addrs, r)}
 

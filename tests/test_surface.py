@@ -19,7 +19,6 @@ SRC = os.path.dirname(os.path.abspath(cnfkc.__file__))
 # name -> why it stays although no library code reaches it
 ALLOWED = {
     "resolvable": "tests/oracles.py builds resolution refutations on it",
-    "parse_dimacs": "the clause-set parse that the tests read output with",
     "hardness_report": "golden-pinned: its critical primes are in golden/",
     "report_to_json": "golden-pinned: renders hardness_report in golden/",
     "equivalent": "the tests' reference for logical equivalence",

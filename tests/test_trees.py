@@ -183,7 +183,7 @@ def test_doped_clause_of_leafset_example():
     t = Inner(1, Inner(2, LEAF, LEAF), Inner(3, LEAF, LEAF))
     d = dope(tree_to_clauses(t))
     addr = sorted(leaf_paths(t))
-    cv = doped_clause_of_leafset(d, [addr[0], addr[2]])
+    cv = doped_clause_of_leafset(t, d, [addr[0], addr[2]])
     inverse = {c: u for u, c in d.doping_map.items()}
     u1 = inverse[clause([1, 2])]
     u3 = inverse[clause([-1, 3])]
@@ -201,7 +201,7 @@ def test_doped_leafsets_enumerate_primes():
         generated = set()
         for r in range(1, len(addrs) + 1):
             for combo in itertools.combinations(addrs, r):
-                generated.add(doped_clause_of_leafset(d, combo))
+                generated.add(doped_clause_of_leafset(t, d, combo))
         assert generated == set(prime_implicates(d.doped))
 
 

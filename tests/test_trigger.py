@@ -267,7 +267,7 @@ def test_sperner_witness_edges_pairwise_disjoint():
         sets = sperner_witness(t, k)
         edges = []
         for v in sets:
-            c = doped_clause_of_leafset(d, v)
+            c = doped_clause_of_leafset(t, d, v)
             edges.append(g.edges[g.vertices.index(c)])
         for i in range(len(edges)):
             for j in range(i + 1, len(edges)):
