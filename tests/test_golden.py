@@ -16,6 +16,15 @@ Three more inputs pin `mps` (direct route) and `measure --measures
 hd,phd`: g_4; the doped tree at (k=0, h=3), which is satisfiable with
 hd 1 and phd 2; and an unsatisfiable random 3-CNF with hd 3, whose
 level-3 propagation runs level 2 and so the unit-propagation kernel.
+
+`golden/query-<input>.txt` holds, for every corpus input f, the stdout
+of `query` at k = whd(f), which its first line names: CO, MC, ME (but
+not on the doped tree at (k=2, h=3), whose 16384 models would fill
+megabytes), SE and EQ against f's prime implicates, and EQ against f
+without its first clause in canonical order.  Two inputs pin more: MC
+below whd, which exits 4 and names its witness on stderr, and MC past a
+small model cap, before and at the level where the walk meets an
+integrity error too.
 """
 
 import os
@@ -23,8 +32,11 @@ import random
 
 from cnfkc.cli import (build_extremal_doped, build_g_n, build_horn_chain,
                        main)
-from cnfkc.core import clause, emit_dimacs
-from cnfkc.hardness import hardness_report, report_to_json
+from cnfkc.compile import answer_query
+from cnfkc.core import clause, emit_dimacs, sorted_clauses
+from cnfkc.errors import CnfError
+from cnfkc.hardness import hardness_report, report_to_json, whd
+from cnfkc.primes import prime_implicates
 
 import pytest
 
@@ -100,3 +112,62 @@ def render(name, tmp_path, capsys):
 def test_command_goldens(name, tmp_path, capsys):
     with open(os.path.join(GOLDEN, name + ".txt"), newline="") as fh:
         assert render(name, tmp_path, capsys) == fh.read()
+
+
+# input name -> extra runs: CLI argv with "IN" for the input, or a
+# (kind, k, cap_models) call of `answer_query`
+QUERY_EXTRAS = {
+    # the walk meets its integrity error before the cap
+    "random-s1-n6": [("query", "--kind", "MC", "--k", "0", "IN"),
+                     ("MC", 0, 5)],
+    # the cap is met before the walk's integrity error at k = 0
+    "random-s3-n7": [("query", "--kind", "MC", "--k", "0", "IN"),
+                     ("MC", 0, 5), ("MC", 1, 5)],
+}
+
+
+def render_queries(name, tmp_path, capsys):
+    """The query golden text of one corpus input under the current code."""
+    f = CORPUS[name][0]
+    k = str(whd(f))
+    paths = {}
+    for label, g in (("IN", f), ("PRIMES", prime_implicates(f)),
+                     ("REST", frozenset(sorted_clauses(f)[1:]))):
+        paths[label] = tmp_path / (label + ".cnf")
+        paths[label].write_text(emit_dimacs(g))
+    kinds = [("CO",), ("MC",), ("ME",), ("SE", "--other", "PRIMES"),
+             ("EQ", "--other", "PRIMES"), ("EQ", "--other", "REST")]
+    if name == "doped-k2-h3":
+        kinds.remove(("ME",))
+    runs = [("query", "--kind", kind[0], "--k", k, "IN") + kind[1:]
+            for kind in kinds] + QUERY_EXTRAS.get(name, [])
+    parts = []
+    for run in runs:
+        if run[0] != "query":
+            kind, level, cap = run
+            parts.append("$ answer_query(%r, f, %d, cap_models=%d)\n"
+                         % run)
+            try:
+                parts.append("%r\n" % answer_query(kind, f, level,
+                                                    cap_models=cap))
+            except CnfError as err:
+                parts.append("%s: %s\nwitness: %r\n"
+                             % (type(err).__name__, err,
+                                getattr(err, "witness", None)))
+            continue
+        parts.append("$ cnfkc %s\n" % " ".join(run))
+        code = main([str(paths[a]) if a in paths else a for a in run])
+        captured = capsys.readouterr()
+        parts.append(captured.out)
+        if code:
+            parts.append("exit %d\n%s" % (code, captured.err))
+        else:
+            assert captured.err == ""
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_query_goldens(name, tmp_path, capsys):
+    with open(os.path.join(GOLDEN, "query-%s.txt" % name),
+              newline="") as fh:
+        assert render_queries(name, tmp_path, capsys) == fh.read()
