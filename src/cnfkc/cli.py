@@ -81,6 +81,15 @@ def _int(text, what):
         raise ParseError("%s must be an integer, got %r" % (what, text))
 
 
+def _at_least_zero(args, *names):
+    """A ParseError for the first of the flags `names` set below 0."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise ParseError("--%s must be at least 0, got %d"
+                             % (name, value))
+
+
 def _setting(args, cfg, name, default):
     flag = getattr(args, name, None)
     if flag is not None:
@@ -145,6 +154,7 @@ def _clauses_json(f):
 
 
 def cmd_generate(args, cfg):
+    _at_least_zero(args, "n", "h")
     family = args.family
     meta = {"family": family}
     if family == "extremal_doped":
@@ -263,6 +273,7 @@ def cmd_dope(args, cfg):
 
 
 def cmd_trigger(args, cfg):
+    _at_least_zero(args, "k")
     f = _read_clause_set(args.input)
     g = trigger_hypergraph(f, args.k)
     tau = transversal_number(g)
@@ -277,6 +288,7 @@ def cmd_trigger(args, cfg):
 
 
 def cmd_kbase(args, cfg):
+    _at_least_zero(args, "k")
     f = _read_clause_set(args.input)
     base = kc.k_base(prime_implicates(f), args.k)
     text = emit_dimacs(base.clauses, comments=["%d-base" % args.k])
@@ -293,6 +305,7 @@ def cmd_kbase(args, cfg):
 
 
 def cmd_query(args, cfg):
+    _at_least_zero(args, "k")
     f = _read_clause_set(args.input)
     extra = {}
     if args.clause is not None:

@@ -4,8 +4,9 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (TOP, apply_assignment, falsify, flip, instantiate,
-                   literal_bit, pack, pack_set, sorted_masks, unpack,
-                   unpack_set, variables)
+                   literal_bit, pack, pack_set, packed_variable_count,
+                   sorted_masks, union, unpack, unpack_set, variable_bits,
+                   variables)
 from .errors import CapExceededError, IntegrityError, ParseError
 from .hardness import hd_at_most, k_res_packed, whd
 from .primes import entails, essential_primes
@@ -159,7 +160,7 @@ def answer_query(kind, f, k, clause=None, assignment=None, other=None,
     if kind == "CE":
         if clause is None:
             raise ParseError("CE needs a clause")
-        return _derives(pack_set(f), pack(clause), k)
+        return _derives(pack_set(f), pack(clause), k, {})
     if kind == "VA":
         return f == TOP
     if kind == "IM":
@@ -170,8 +171,10 @@ def answer_query(kind, f, k, clause=None, assignment=None, other=None,
         if other is None:
             raise ParseError("%s needs a second clause-set" % kind)
         g, h = pack_set(f), pack_set(other)
-        return (all(_derives(g, c, k) for c in h)
-                and (kind == "SE" or all(_derives(h, c, k) for c in g)))
+        known = {}  # one saturation per falsified instance, both ways
+        return (all(_derives(g, c, k, known) for c in h)
+                and (kind == "SE"
+                     or all(_derives(h, c, k, known) for c in g)))
     if kind == "ME":
         return enumerate_models(f, k, cap_models=cap_models)
     if kind == "MC":
@@ -179,11 +182,19 @@ def answer_query(kind, f, k, clause=None, assignment=None, other=None,
     raise ParseError("unknown query kind %r" % kind)
 
 
-def _derives(g, c, k):
+def _derives(g, c, k, known):
     """Does level-k resolution refute the packed g under the falsifier
     of the packed clause c (the CE answer for c)?  Yes at once when c is
-    in g, which the falsifier leaves as the empty clause."""
-    return c in g or k_res_packed(falsify(g, c), k)[0]
+    in g, which the falsifier leaves as the empty clause.  `known` maps
+    each falsified instance already decided to its answer, so clauses
+    with one instance share one saturation."""
+    if c in g:
+        return True
+    h = falsify(g, c)
+    hit = known.get(h)
+    if hit is None:
+        hit = known[h] = k_res_packed(h, k)[0]
+    return hit
 
 
 def enumerate_models(f, k, cap_models=2 ** 20):
@@ -206,13 +217,58 @@ def enumerate_models(f, k, cap_models=2 ** 20):
 
 def count_models(f, k, cap_models=2 ** 20):
     """len(enumerate_models(f, k, cap_models)), with the same errors,
-    from the cubes alone: a cube of depth d holds 2^(n - d) models."""
-    vs = sorted(variables(f))
-    count = 0
-    for _, depth in _cubes(vs, 0, 0, pack_set(f), k):
-        count += 1 << (len(vs) - depth)
-        if count > cap_models:
-            raise _too_many(cap_models)
+    from the residual clause-sets instead of the variable order
+    (`_count`), each decided once.  When that walk meets a node that ME's
+    walk reports as an integrity error, ME's walk `_cubes` is replayed
+    with the count capped as it goes, so the error, its witness and
+    whether the cap comes first are ME's; else the cap is one
+    comparison."""
+    g = pack_set(f)
+    count = _count(g, k, {})
+    if count is None:
+        vs = sorted(variables(f))
+        count = 0
+        for _, depth in _cubes(vs, 0, 0, g, k):
+            count += 1 << (len(vs) - depth)
+            if count > cap_models:
+                raise _too_many(cap_models)
+    if count > cap_models:
+        raise _too_many(cap_models)
+    return count
+
+
+def _count(g, k, counts):
+    """The models of the packed g over its own variables: 0 when level-k
+    resolution refutes g, 1 when g is empty, else the sum over splitting
+    on the lowest variable of g, 0 first, each child's count scaled by
+    2^(the variables of g it no longer holds, besides the split one).
+    `counts` maps each clause-set counted to its count.  None when a node
+    that is not refuted has no model, or is not empty and holds no
+    variable: the integrity errors of `_cubes`, which reaches the same
+    residual clause-sets, only repeated where a split leaves g alone."""
+    if not g:
+        return 1
+    hit = counts.get(g)
+    if hit is not None:
+        return hit
+    if k_res_packed(g, k)[0]:
+        count = 0
+    else:
+        live = variable_bits(union(g))
+        if not live:
+            return None
+        b = live & -live
+        nb = flip(b)
+        n = live.bit_count() - 1
+        count = 0
+        for child in (instantiate(g, nb, b), instantiate(g, b, nb)):
+            below = _count(child, k, counts)
+            if below is None:
+                return None
+            count += below << (n - packed_variable_count(child))
+        if not count:
+            return None
+    counts[g] = count
     return count
 
 

@@ -12,8 +12,8 @@ from .core import (BOT, SubsumptionIndex, bit_literal, bits,
                    union, unpack)
 from .errors import CapExceededError, IntegrityError
 from .primes import prime_implicates
-from .propagation import (REFUTED, propagate_packed, sat_oracle,
-                          unit_refutation)
+from .propagation import (REFUTED, _unit_scan, propagate_packed,
+                          sat_oracle, unit_refutation)
 
 
 def k_res_refutes(f, k, cap_clauses=200000, want_trace=False):
@@ -53,6 +53,12 @@ def k_res_packed(g, k, w=math.inf, cap_clauses=200000, want_trace=False):
     answer is that of the saturation that keeps every resolvent, and
     does not depend on the order of g.
 
+    At k = 1 with no trace asked for, the answer is unit propagation's
+    over the clauses of at most w literals (`propagation._unit_scan`),
+    and no clause is kept, so the cap does not apply: unit resolution
+    refutes exactly when unit propagation does, and a unit resolvent is
+    shorter than its long parent, so w drops only axioms.
+
     `cap_clauses` bounds the clauses kept, axioms included; dropped
     resolvents do not count.  The subsumed ones are remembered so that
     each is tested once, in a set of at most `cap_clauses` that is
@@ -66,6 +72,9 @@ def k_res_packed(g, k, w=math.inf, cap_clauses=200000, want_trace=False):
     """
     if 0 in g:
         return True, ([] if want_trace else None)
+    if k == 1 and not want_trace:
+        refuted = _unit_scan([c for c in g if c.bit_count() <= w], 0)[0]
+        return refuted is not None, None
     # kept clause -> its parents, the axioms first
     seen = dict.fromkeys(c for c in g if c.bit_count() <= w)
     passive = [(c.bit_count(), 0, c) for c in seen]
@@ -166,12 +175,21 @@ def _worst_falsifier(f, primes, refutes):
     unsatisfiable f, the `_least_level` of f itself and no prime; else
     the worst `_least_level` over the falsifiers of the primes, with the
     first critical prime in canonical order (0 and none for TOP, which
-    has no primes)."""
+    has no primes).  Primes with one falsified instance share one
+    `_least_level`."""
     g = pack_set(f)
     if BOT in primes:
         return _least_level(g, refutes), None
-    return max(((_least_level(falsify(g, pack(c)), refutes), c)
-                for c in sorted_clauses(primes)),
+    levels = {}  # falsified instance -> its least level
+
+    def level(c):
+        h = falsify(g, pack(c))
+        hit = levels.get(h)
+        if hit is None:
+            hit = levels[h] = _least_level(h, refutes)
+        return hit
+
+    return max(((level(c), c) for c in sorted_clauses(primes)),
                key=lambda vc: vc[0], default=(0, None))
 
 
@@ -230,8 +248,16 @@ def whd(f, cap_vars=24, primes=None):
 
 def whd_at_most(g, k, primes):
     """Fast check whd(g) <= k for the satisfiable packed clause-set g,
-    given its packed prime implicates."""
-    return all(k_res_packed(falsify(g, c), k)[0] for c in primes)
+    given its packed prime implicates.  Primes with one falsified
+    instance share one saturation."""
+    refuted = set()
+    for c in primes:
+        h = falsify(g, c)
+        if h not in refuted:
+            if not k_res_packed(h, k)[0]:
+                return False
+            refuted.add(h)
+    return True
 
 
 def wid(f, cap_vars=24, primes=None):

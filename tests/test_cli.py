@@ -188,6 +188,18 @@ def test_malformed_arguments_are_parse_errors(argv, config, tmp_path,
     # variable 0 occurs in no clause-set, so IM would answer false
     (("query", "--kind", "IM", "--k", "1", "--assignment", "0=1", "IN"),
      None, "assignment variable must be at least 1, got 0"),
+    # no level or size is negative: these would answer, print or fail
+    # in a traceback
+    (("kbase", "--k", "-1", "IN"), None, "--k must be at least 0, got -1"),
+    (("trigger", "--k", "-1", "IN"), None, "--k must be at least 0, got -1"),
+    (("query", "--kind", "MC", "--k", "-1", "IN"), None,
+     "--k must be at least 0, got -1"),
+    (("query", "--kind", "CE", "--k", "-2", "--clause=1", "IN"), None,
+     "--k must be at least 0, got -2"),
+    (("generate", "--family", "horn_chain", "--h", "-2"), None,
+     "--h must be at least 0, got -2"),
+    (("generate", "--family", "g_n", "--n", "-3"), None,
+     "--n must be at least 0, got -3"),
 ])
 def test_ambiguous_or_unknown_settings_are_parse_errors(argv, config, message,
                                                         tmp_path, capsys):

@@ -3,11 +3,12 @@ import random
 
 from hypothesis import assume, given, settings
 
-from cnfkc.compile import (_derives, answer_query, enumerate_models,
-                           equivalent_subset, greedy_base, k_base,
-                           smallest_base)
-from cnfkc.core import (TOP, clause, falsify, pack, pack_set,
-                        sorted_clauses, sorted_masks, unpack_set, variables)
+from cnfkc.compile import (_derives, answer_query, count_models,
+                           enumerate_models, equivalent_subset, greedy_base,
+                           k_base, smallest_base)
+from cnfkc.core import (TOP, apply_assignment, clause, falsify, pack,
+                        pack_set, sorted_clauses, sorted_masks, unpack_set,
+                        variables)
 from cnfkc.errors import CapExceededError, IntegrityError, ParseError
 from cnfkc.hardness import hd, k_res_packed, whd
 from cnfkc.mpsdope import dope
@@ -91,9 +92,11 @@ def test_model_enumeration_dead_end_is_an_integrity_error(monkeypatch):
     # total assignment, which no correct run reaches
     monkeypatch.setattr(cnfkc.compile, "k_res_packed",
                         lambda g, k: (False, None))
-    with pytest.raises(IntegrityError) as err:
-        enumerate_models(cs([1]), 1)
-    assert err.value.witness == {1: 0}
+    # MC's walk meets it as a clause-set with no variable left, and stops
+    for run in (enumerate_models, count_models):
+        with pytest.raises(IntegrityError, match="total assignment") as err:
+            run(cs([1]), 1)
+        assert err.value.witness == {1: 0}
 
 
 def test_k_base_cap():
@@ -284,7 +287,7 @@ def test_derives_answers_true_for_a_clause_of_the_set(monkeypatch):
 
     monkeypatch.setattr(cnfkc.compile, "k_res_packed", no_saturation)
     for c in f:
-        assert _derives(g, pack(c), 0)
+        assert _derives(g, pack(c), 0, {})
         assert answer_query("CE", f, 0, clause=c)
     assert answer_query("EQ", f, 0, other=f)
 
@@ -393,6 +396,69 @@ def test_me_against_truth_table_corpus():
         assert sorted(found, key=sorted) == sorted(
             oracles.models_tt(f), key=sorted)
         assert all(set(m) == variables(f) for m in found)
+
+
+def _split_leaves_a_variable_out(f):
+    """Does a value of f's lowest variable leave out another variable?"""
+    vs = variables(f)
+    v = min(vs)
+    return any(variables(apply_assignment({v: b}, f)) < vs - {v}
+               for b in (0, 1))
+
+
+def test_mc_scales_the_variables_a_split_leaves_out():
+    # in the first, 1 true satisfies the clauses holding 2 or 3, and 1
+    # false the one holding 4
+    named = [cs([1, 2], [1, 3], [-1, 4]),
+             cs([1, 2, 3], [-1, 4], [-1, 5, -6], [2, -3]),
+             cs([1, 5], [-1, 2], [-2, 3], [-3, 4])]
+    assert all(map(_split_leaves_a_variable_out, named))
+    rng = random.Random(88)
+    drawn = [f for f in (oracles.random_clause_set(rng, max_n=6, max_c=6)
+                         for _ in range(60)) if variables(f)]
+    assert sum(map(_split_leaves_a_variable_out, drawn)) >= len(drawn) // 3
+    for f in named + drawn:
+        assert count_models(f, whd(f)) == len(oracles.models_tt(f))
+
+
+@functools.cache
+def _doped_base():
+    """The doped (1,3) tree's primes and their level-2 base."""
+    from cnfkc.cli import build_extremal_doped
+    primes = prime_implicates(build_extremal_doped(1, 3)[1].doped)
+    return primes, k_base(primes, 2).clauses
+
+
+def _counted_saturations(monkeypatch):
+    """The clause-sets that compile's k-resolution calls get, in order."""
+    import cnfkc.compile
+    calls = []
+
+    def counted(g, k):
+        calls.append(g)
+        return k_res_packed(g, k)
+
+    monkeypatch.setattr(cnfkc.compile, "k_res_packed", counted)
+    return calls
+
+
+def test_mc_decides_each_residual_clause_set_once(monkeypatch):
+    """MC on the level-2 base of the doped (1,3) tree meets 14 distinct
+    residual clause-sets, where a walk in variable order ran 3071
+    saturations."""
+    base = _doped_base()[1]
+    calls = _counted_saturations(monkeypatch)
+    assert answer_query("MC", base, 2) == 4096
+    assert len(calls) <= 14
+
+
+def test_eq_decides_each_falsified_instance_once(monkeypatch):
+    """EQ of that base against its 127 primes meets 37 distinct
+    falsified instances, where one saturation per clause ran 120."""
+    primes, base = _doped_base()
+    calls = _counted_saturations(monkeypatch)
+    assert answer_query("EQ", base, 2, other=primes)
+    assert len(calls) <= 37
 
 
 def test_me_integrity_error_names_witness():

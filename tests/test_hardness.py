@@ -213,6 +213,25 @@ def test_the_cap_counts_kept_clauses_and_bounds_the_dropped_ones(monkeypatch):
         width_refutes(f, 5, cap_clauses=400)
 
 
+def test_whd_decides_each_falsified_instance_once(monkeypatch):
+    # the 127 primes of the doped (1,3) tree have 38 distinct falsified
+    # instances
+    from cnfkc.cli import build_extremal_doped
+    from cnfkc.primes import prime_implicates
+    f = build_extremal_doped(1, 3)[1].doped
+    primes = prime_implicates(f)
+    calls = []
+    least_level = hardness._least_level
+
+    def counted(g, refutes):
+        calls.append(g)
+        return least_level(g, refutes)
+
+    monkeypatch.setattr(hardness, "_least_level", counted)
+    assert whd(f, primes=primes) == 2
+    assert len(calls) <= 38
+
+
 def test_width_refutes_monotone():
     f = cs([1, 2], [-1, 2], [1, -2], [-1, -2])
     assert not width_refutes(f, 1)

@@ -1,5 +1,6 @@
 """The packed-clause engines against their frozenset references."""
 
+import math
 import random
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -176,6 +177,19 @@ def test_saturation_answers_alike_on_any_clause_order(clauses):
     for w in range(5):
         want = references.width_refutes_frozenset(f, w)
         assert [k_res_packed(h, w, w)[0] for h in inputs] == [want] * 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(clause_lists() | short_clause_lists())
+@clause_list_examples
+def test_level_one_scan_answers_as_the_given_clause_loop(clauses):
+    """At k = 1 with no trace asked for, `k_res_packed` answers by unit
+    propagation over the clauses of at most w literals; asking for a
+    trace runs the given-clause loop.  They agree for every w."""
+    g = pack_set(frozenset(clauses))
+    for w in (0, 1, 2, 3, 4, math.inf):
+        assert k_res_packed(g, 1, w)[0] == \
+            k_res_packed(g, 1, w, want_trace=True)[0]
 
 
 def test_least_level_raises_past_saturation():
