@@ -1,14 +1,15 @@
 """Level-k base compilation and the knowledge-compilation query suite."""
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
-from .core import (TOP, apply_assignment, falsify, flip, instantiate,
+from .core import (TOP, apply_assignment, bit_literal, flip, instantiate,
                    literal_bit, pack, pack_set, packed_variable_count,
                    sorted_masks, union, unpack, unpack_set, variable_bits,
                    variables)
 from .errors import CapExceededError, IntegrityError, ParseError
-from .hardness import hd_at_most, k_res_packed, whd
+from .hardness import derives, hd_at_most, k_res_packed, whd
 from .primes import entails, essential_primes
 
 
@@ -18,7 +19,6 @@ class KBase:
     level: int
     added: tuple = ()
     removed: tuple = ()
-    anomaly: bool = False
 
 
 def equivalent_subset(sub, primes, shown=None):
@@ -38,7 +38,7 @@ def equivalent_subset(sub, primes, shown=None):
     return True
 
 
-def greedy_base(order, ess, level, shown=None):
+def greedy_base(order, ess, level):
     """(base, added, removed) for the packed primes listed in `order`, in
     `sorted_masks` order: from the essential primes `ess`, add primes in
     `order` until the subset is equivalent to all of them and `level`
@@ -49,16 +49,14 @@ def greedy_base(order, ess, level, shown=None):
     iff it entails c.
 
     The additions only grow `current`, so a prime it entails once stays
-    entailed: `shown` (the primes that `ess` is known to entail, if
-    given) collects them, and each step tests only the others, up to the
-    first that fails.
+    entailed: `shown` collects them, and each step tests only the
+    others, up to the first that fails.
 
     One sweep leaves no prime removable, provided `level` is monotone
     under adding clauses, as entailment is: a prime kept against some
     `current` stays kept against every later, smaller one."""
     primes = frozenset(order)
-    if shown is None:
-        shown = set()
+    shown = set()
     current = ess
     added = []
     for c in order:
@@ -113,8 +111,7 @@ def k_base(primes, k, mode="heuristic", cap_primes=18):
 
     Both modes share one `proofs` dict of `hd_at_most`'s refutation
     certificates, so a prime is refuted again only when a clause of its
-    last proof has gone; the heuristic one also shares the primes shown
-    entailed between the anomaly check and the additions.
+    last proof has gone.
     """
     primes = frozenset(primes)
     g = pack_set(primes)
@@ -134,14 +131,10 @@ def k_base(primes, k, mode="heuristic", cap_primes=18):
                 "exhaustive base search capped at %d primes" % cap_primes)
         return KBase(clauses=unpack_set(base), level=k)
 
-    # an equivalent-but-too-hard essential core would be noteworthy; the
-    # flag records whether additions started from an equivalent set
-    shown = set()
-    anomaly = equivalent_subset(ess, g, shown) and not level(ess)
-    base, added, removed = greedy_base(order, ess, level, shown)
+    base, added, removed = greedy_base(order, ess, level)
     return KBase(clauses=unpack_set(base), level=k,
                  added=tuple(map(unpack, added)),
-                 removed=tuple(map(unpack, removed)), anomaly=anomaly)
+                 removed=tuple(map(unpack, removed)))
 
 
 def answer_query(kind, f, k, clause=None, assignment=None, other=None,
@@ -160,7 +153,7 @@ def answer_query(kind, f, k, clause=None, assignment=None, other=None,
     if kind == "CE":
         if clause is None:
             raise ParseError("CE needs a clause")
-        return _derives(pack_set(f), pack(clause), k, {})
+        return derives(pack_set(f), pack(clause), k, {})
     if kind == "VA":
         return f == TOP
     if kind == "IM":
@@ -172,9 +165,9 @@ def answer_query(kind, f, k, clause=None, assignment=None, other=None,
             raise ParseError("%s needs a second clause-set" % kind)
         g, h = pack_set(f), pack_set(other)
         known = {}  # one saturation per falsified instance, both ways
-        return (all(_derives(g, c, k, known) for c in h)
+        return (all(derives(g, c, k, known) for c in h)
                 and (kind == "SE"
-                     or all(_derives(h, c, k, known) for c in g)))
+                     or all(derives(h, c, k, known) for c in g)))
     if kind == "ME":
         return enumerate_models(f, k, cap_models=cap_models)
     if kind == "MC":
@@ -182,98 +175,78 @@ def answer_query(kind, f, k, clause=None, assignment=None, other=None,
     raise ParseError("unknown query kind %r" % kind)
 
 
-def _derives(g, c, k, known):
-    """Does level-k resolution refute the packed g under the falsifier
-    of the packed clause c (the CE answer for c)?  Yes at once when c is
-    in g, which the falsifier leaves as the empty clause.  `known` maps
-    each falsified instance already decided to its answer, so clauses
-    with one instance share one saturation."""
-    if c in g:
-        return True
-    h = falsify(g, c)
-    hit = known.get(h)
-    if hit is None:
-        hit = known[h] = k_res_packed(h, k)[0]
-    return hit
-
-
 def enumerate_models(f, k, cap_models=2 ** 20):
     """All total models over var(f), found by a decision tree whose dead
-    branches are cut by level-k refutation (never by full search): each
-    satisfied cube of `_cubes`, expanded over its free variables in
-    ascending order, 0 first."""
+    branches are cut by level-k refutation (never by full search):
+    `_models` decides every residual clause-set, and then each satisfied
+    cube of `_cubes`, expanded over its free variables in ascending
+    order, 0 first."""
     vs = sorted(variables(f))
+    g = pack_set(f)
+    memo = {}
+    _models(vs, 0, 0, g, k, memo, 0, cap_models)
     out = []
-    for true, depth in _cubes(vs, 0, 0, pack_set(f), k):
+    for true, depth in _cubes(vs, 0, 0, g, memo):
         phi, rest = _assignment(vs[:depth], true), vs[depth:]
         for bits in itertools.product((0, 1), repeat=len(rest)):
             model = dict(phi)
             model.update(zip(rest, bits))
             out.append(model)
-            if len(out) > cap_models:
-                raise _too_many(cap_models)
     return out
 
 
 def count_models(f, k, cap_models=2 ** 20):
     """len(enumerate_models(f, k, cap_models)), with the same errors,
-    from the residual clause-sets instead of the variable order
-    (`_count`), each decided once.  When that walk meets a node that ME's
-    walk reports as an integrity error, ME's walk `_cubes` is replayed
-    with the count capped as it goes, so the error, its witness and
-    whether the cap comes first are ME's; else the cap is one
-    comparison."""
-    g = pack_set(f)
-    count = _count(g, k, {})
-    if count is None:
-        vs = sorted(variables(f))
-        count = 0
-        for _, depth in _cubes(vs, 0, 0, g, k):
-            count += 1 << (len(vs) - depth)
-            if count > cap_models:
-                raise _too_many(cap_models)
-    if count > cap_models:
-        raise _too_many(cap_models)
-    return count
+    from `_models` alone."""
+    return _models(sorted(variables(f)), 0, 0, pack_set(f), k, {}, 0,
+                   cap_models)
 
 
-def _count(g, k, counts):
-    """The models of the packed g over its own variables: 0 when level-k
-    resolution refutes g, 1 when g is empty, else the sum over splitting
-    on the lowest variable of g, 0 first, each child's count scaled by
-    2^(the variables of g it no longer holds, besides the split one).
-    `counts` maps each clause-set counted to its count.  None when a node
-    that is not refuted has no model, or is not empty and holds no
-    variable: the integrity errors of `_cubes`, which reaches the same
-    residual clause-sets, only repeated where a split leaves g alone."""
+def _models(vs, i, true, g, k, memo, before, cap_models):
+    """The number of models over vs[i:] of the packed clause-set g, which
+    the assignment of vs[:i] whose true literals are the mask `true`
+    leaves: 0 when level-k resolution refutes g, else the sum over
+    splitting on the lowest variable g still holds, 0 first, doubled for
+    each variable of vs[i:] below it.
+
+    ME's order takes those variables at 0 first, so this walk meets the
+    residual clause-sets in ME's order, and `memo` maps each one decided
+    to its models over its own variables: each is decided once, at its
+    first node.  A node that is not refuted and has no model, or is not
+    empty and holds no variable, raises an integrity error with its
+    assignment, the variables left out at 0.  `before` models precede g
+    in ME's order, so the cap error is raised as soon as `before` and
+    g's models pass `cap_models`, before any later node is decided, as
+    in ME."""
+    free = len(vs) - i
     if not g:
-        return 1
-    hit = counts.get(g)
-    if hit is not None:
-        return hit
-    if k_res_packed(g, k)[0]:
-        count = 0
+        total = 1 << free
+    elif g in memo:
+        total = memo[g] << (free - packed_variable_count(g))
     else:
-        live = variable_bits(union(g))
-        if not live:
-            return None
-        b = live & -live
-        nb = flip(b)
-        n = live.bit_count() - 1
-        count = 0
-        for child in (instantiate(g, nb, b), instantiate(g, b, nb)):
-            below = _count(child, k, counts)
-            if below is None:
-                return None
-            count += below << (n - packed_variable_count(child))
-        if not count:
-            return None
-    counts[g] = count
-    return count
-
-
-def _too_many(cap_models):
-    return CapExceededError("model enumeration exceeded %d" % cap_models)
+        total = 0
+        if not k_res_packed(g, k)[0]:
+            live = variable_bits(union(g))
+            if not live:
+                raise IntegrityError(
+                    "total assignment left a clause-set that is neither "
+                    "satisfied nor refutable", witness=_assignment(vs, true))
+            b = live & -live
+            nb = flip(b)
+            j = bisect.bisect_left(vs, bit_literal(b), i)
+            left = _models(vs, j + 1, true, instantiate(g, nb, b), k, memo,
+                           before, cap_models)
+            total = left + _models(vs, j + 1, true | b, instantiate(g, b, nb),
+                                   k, memo, before + left, cap_models)
+            if not total:
+                raise IntegrityError(
+                    "level-%d resolution missed an unsatisfiable branch" % k,
+                    witness=_assignment(vs[:j], true))
+            total <<= j - i
+        memo[g] = total >> (free - packed_variable_count(g))
+    if before + total > cap_models:
+        raise CapExceededError("model enumeration exceeded %d" % cap_models)
+    return total
 
 
 def _assignment(vs, true):
@@ -282,26 +255,15 @@ def _assignment(vs, true):
     return {v: int(bool(true & literal_bit(v))) for v in vs}
 
 
-def _cubes(vs, i, true, g, k):
+def _cubes(vs, i, true, g, memo):
     """Yield (true, i) when the assignment of vs[:i] whose true literals
     are the mask `true` leaves the packed clause-set g empty; else split
-    on vs[i], 0 first, below every node that level-k resolution does not
-    refute.  Returns whether some cube was yielded below."""
+    on vs[i], 0 first, below every node to which `memo` (filled by
+    `_models`) gives a model."""
     if not g:
         yield true, i
-        return True
-    if k_res_packed(g, k)[0]:
-        return False
-    if i == len(vs):
-        raise IntegrityError(
-            "total assignment left a clause-set that is neither "
-            "satisfied nor refutable", witness=_assignment(vs, true))
-    b = literal_bit(vs[i])
-    nb = flip(b)
-    left = yield from _cubes(vs, i + 1, true, instantiate(g, nb, b), k)
-    right = yield from _cubes(vs, i + 1, true | b, instantiate(g, b, nb), k)
-    if not (left or right):
-        raise IntegrityError(
-            "level-%d resolution missed an unsatisfiable branch" % k,
-            witness=_assignment(vs[:i], true))
-    return True
+    elif memo[g]:
+        b = literal_bit(vs[i])
+        nb = flip(b)
+        yield from _cubes(vs, i + 1, true, instantiate(g, nb, b), memo)
+        yield from _cubes(vs, i + 1, true | b, instantiate(g, b, nb), memo)

@@ -10,7 +10,7 @@ from .core import (BOT, SubsumptionIndex, bit_literal, bits,
                    clause_falsifier, clause_key, falsify, flip, instantiate,
                    pack, pack_set, packed_variable_count, sorted_clauses,
                    union, unpack)
-from .errors import CapExceededError, IntegrityError
+from .errors import CapExceededError, IntegrityError, ParseError
 from .primes import prime_implicates
 from .propagation import (REFUTED, _unit_scan, propagate_packed,
                           sat_oracle, unit_refutation)
@@ -70,6 +70,8 @@ def k_res_packed(g, k, w=math.inf, cap_clauses=200000, want_trace=False):
     of two or more literals: calls that derive no such resolvent pay
     nothing for it.
     """
+    if k < 0:
+        raise ParseError("resolution level must be at least 0, got %d" % k)
     if 0 in g:
         return True, ([] if want_trace else None)
     if k == 1 and not want_trace:
@@ -248,16 +250,26 @@ def whd(f, cap_vars=24, primes=None):
 
 def whd_at_most(g, k, primes):
     """Fast check whd(g) <= k for the satisfiable packed clause-set g,
-    given its packed prime implicates.  Primes with one falsified
-    instance share one saturation."""
-    refuted = set()
-    for c in primes:
-        h = falsify(g, c)
-        if h not in refuted:
-            if not k_res_packed(h, k)[0]:
-                return False
-            refuted.add(h)
-    return True
+    given its packed prime implicates: does g derive every prime by
+    level-k resolution (`derives`)?  Primes with one falsified instance
+    share one saturation."""
+    known = {}
+    return all(derives(g, c, k, known) for c in primes)
+
+
+def derives(g, c, k, known):
+    """Does level-k resolution refute the packed g under the falsifier
+    of the packed clause c (the CE answer for c)?  Yes at once when c is
+    in g, which the falsifier leaves as the empty clause.  `known` maps
+    each falsified instance already decided to its answer, so clauses
+    with one instance share one saturation."""
+    if c in g:
+        return True
+    h = falsify(g, c)
+    hit = known.get(h)
+    if hit is None:
+        hit = known[h] = k_res_packed(h, k)[0]
+    return hit
 
 
 def wid(f, cap_vars=24, primes=None):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from .core import (BOT, apply_assignment, bit_literal, bits, clause_key,
                    flip, instantiate, literal_assignment, literal_bit,
                    pack_set, packed_variable_count, union, unpack_set)
-from .errors import CapExceededError
+from .errors import CapExceededError, ParseError
 
 REFUTED = frozenset([BOT])
 REFUTED_PACKED = frozenset([0])
@@ -60,6 +60,8 @@ def propagate_packed(g, k, cache, select=None):
     the closure, in another scan order, answers as recursing on the copied
     instance does, so `reduced` and `assigned` are the recursion's
     (`tests/references.propagate_frozenset`)."""
+    if k < 0:
+        raise ParseError("propagation level must be at least 0, got %d" % k)
     if 0 in g:
         return REFUTED_PACKED, ()
     if k == 0:

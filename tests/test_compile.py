@@ -1,16 +1,16 @@
 import functools
 import random
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
-from cnfkc.compile import (_derives, answer_query, count_models,
-                           enumerate_models, equivalent_subset, greedy_base,
-                           k_base, smallest_base)
+from cnfkc.compile import (answer_query, count_models, enumerate_models,
+                           equivalent_subset, greedy_base, k_base,
+                           smallest_base)
 from cnfkc.core import (TOP, apply_assignment, clause, falsify, pack,
                         pack_set, sorted_clauses, sorted_masks, unpack_set,
                         variables)
 from cnfkc.errors import CapExceededError, IntegrityError, ParseError
-from cnfkc.hardness import hd, k_res_packed, whd
+from cnfkc.hardness import derives, hd, k_res_packed, whd
 from cnfkc.mpsdope import dope
 from cnfkc.primes import (equivalent, essential_primes, implies,
                           prime_implicates)
@@ -34,7 +34,6 @@ def test_k_base_horn_chain_is_itself():
         primes = prime_implicates(f)
         base = k_base(primes, 1)
         assert base.clauses == f
-        assert not base.anomaly
         exact = k_base(primes, 1, mode="exhaustive")
         assert exact.clauses == f
 
@@ -92,7 +91,7 @@ def test_model_enumeration_dead_end_is_an_integrity_error(monkeypatch):
     # total assignment, which no correct run reaches
     monkeypatch.setattr(cnfkc.compile, "k_res_packed",
                         lambda g, k: (False, None))
-    # MC's walk meets it as a clause-set with no variable left, and stops
+    # the walk meets it as a clause-set with no variable left, and stops
     for run in (enumerate_models, count_models):
         with pytest.raises(IntegrityError, match="total assignment") as err:
             run(cs([1]), 1)
@@ -276,8 +275,9 @@ def test_k_base_certificates_cut_the_level_one_refutations(monkeypatch):
 
 def test_derives_answers_true_for_a_clause_of_the_set(monkeypatch):
     """A clause of g leaves the empty clause under its falsifier, so the
-    saturation says yes; `_derives` says so without running it."""
+    saturation says yes; `derives` says so without running it."""
     import cnfkc.compile
+    import cnfkc.hardness
     f = cs([1, 2], [-1, 3], [2, -3, 4], [-4])
     g = pack_set(f)
     assert all(k_res_packed(falsify(g, pack(c)), 0)[0] for c in f)
@@ -285,9 +285,10 @@ def test_derives_answers_true_for_a_clause_of_the_set(monkeypatch):
     def no_saturation(g, k):
         raise AssertionError("saturation run for a clause of the set")
 
-    monkeypatch.setattr(cnfkc.compile, "k_res_packed", no_saturation)
+    for module in (cnfkc.compile, cnfkc.hardness):
+        monkeypatch.setattr(module, "k_res_packed", no_saturation)
     for c in f:
-        assert _derives(g, pack(c), 0, {})
+        assert derives(g, pack(c), 0, {})
         assert answer_query("CE", f, 0, clause=c)
     assert answer_query("EQ", f, 0, other=f)
 
@@ -303,18 +304,23 @@ def _outcome(run):
 
 @settings(max_examples=100, deadline=None)
 @given(short_clause_lists())
+@example((frozenset({1, 2}), frozenset({-1, -2, 3}), frozenset({-1, -2, -3})))
 def test_models_match_the_dict_walk(clauses):
     """ME lists the models of `references.models_by_walk` in its order,
     key order included, and MC counts them, at k = whd(f); below it and
-    under a small cap, both raise what the walk raises."""
+    under a small cap, both raise what the walk raises, and at k = whd(f)
+    under the caps at and just below the model count too.  In the named
+    case, at k = 0 under cap 3, the running count passes the cap in the
+    second branch of x1 before that branch meets an integrity error."""
     f = frozenset(clauses)
     top = whd(f)
     want = references.models_by_walk(f, top)
     got = enumerate_models(f, top)
     assert [list(m.items()) for m in got] == [list(m.items()) for m in want]
     assert answer_query("MC", f, top) == len(want)
+    edges = [cap for cap in (len(want), len(want) - 1) if cap >= 0]
     for k in range(top + 1):
-        for cap in (2 ** 20, 3):
+        for cap in [2 ** 20, 3] + (edges if k == top else []):
             want = _outcome(lambda: references.models_by_walk(f, k, cap))
             assert _outcome(lambda: enumerate_models(f, k, cap)) == want
             if isinstance(want, list):
@@ -430,26 +436,32 @@ def _doped_base():
 
 
 def _counted_saturations(monkeypatch):
-    """The clause-sets that compile's k-resolution calls get, in order."""
+    """The clause-sets that the k-resolution calls of the query answers
+    (in `compile` and in `hardness.derives`) get, in order."""
     import cnfkc.compile
+    import cnfkc.hardness
     calls = []
 
     def counted(g, k):
         calls.append(g)
         return k_res_packed(g, k)
 
-    monkeypatch.setattr(cnfkc.compile, "k_res_packed", counted)
+    for module in (cnfkc.compile, cnfkc.hardness):
+        monkeypatch.setattr(module, "k_res_packed", counted)
     return calls
 
 
 def test_mc_decides_each_residual_clause_set_once(monkeypatch):
-    """MC on the level-2 base of the doped (1,3) tree meets 14 distinct
-    residual clause-sets, where a walk in variable order ran 3071
-    saturations."""
+    """MC and ME on the level-2 base of the doped (1,3) tree meet 14
+    distinct residual clause-sets, where a walk in variable order ran
+    3071 saturations."""
     base = _doped_base()[1]
     calls = _counted_saturations(monkeypatch)
     assert answer_query("MC", base, 2) == 4096
-    assert len(calls) <= 14
+    assert 0 < len(calls) <= 14
+    calls.clear()
+    assert len(answer_query("ME", base, 2)) == 4096
+    assert 0 < len(calls) <= 14
 
 
 def test_eq_decides_each_falsified_instance_once(monkeypatch):
@@ -458,7 +470,7 @@ def test_eq_decides_each_falsified_instance_once(monkeypatch):
     primes, base = _doped_base()
     calls = _counted_saturations(monkeypatch)
     assert answer_query("EQ", base, 2, other=primes)
-    assert len(calls) <= 37
+    assert 0 < len(calls) <= 37
 
 
 def test_me_integrity_error_names_witness():
@@ -492,3 +504,9 @@ def test_ce_uc1_decided_by_unit_propagation():
         assert answer_query("CE", f, 1, clause=c)
     assert not answer_query("CE", f, 1, clause=clause([-1]))
     assert not answer_query("CE", f, 1, clause=clause([-3]))
+
+
+def test_k_base_rejects_a_negative_level():
+    primes = _doped_base()[0]
+    with pytest.raises(ParseError):
+        k_base(primes, -1)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 import pytest
 
 from cnfkc import hardness
-from cnfkc.core import BOT, apply_assignment, clause, variables
-from cnfkc.errors import CapExceededError
+from cnfkc.core import BOT, apply_assignment, clause, pack_set, variables
+from cnfkc.errors import CapExceededError, ParseError
 from cnfkc.hardness import (hardness_report, hd, k_res_refutes, phd, whd,
                             wid, width_refutes)
 from cnfkc.propagation import propagate, sat_oracle
@@ -41,6 +41,12 @@ def test_k_res_examples():
     assert k_res_refutes(frozenset([BOT]), 0)[0]
     assert not k_res_refutes(DIFF, 1)[0]
     assert k_res_refutes(DIFF, 2)[0]
+
+
+def test_negative_level_is_a_parse_error():
+    for f in (DIFF, frozenset([BOT])):
+        with pytest.raises(ParseError):
+            hardness.k_res_packed(pack_set(f), -1)
 
 
 def test_k_res_trace_ends_in_bot():

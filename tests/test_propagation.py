@@ -1,8 +1,9 @@
 import random
 
-from cnfkc.core import BOT, apply_assignment, clause, variables
-from cnfkc.propagation import REFUTED, propagate, sat_oracle, unit_propagate
-from cnfkc.errors import CapExceededError
+from cnfkc.core import BOT, apply_assignment, clause, pack_set, variables
+from cnfkc.propagation import (REFUTED, propagate, propagate_packed,
+                               sat_oracle, unit_propagate)
+from cnfkc.errors import CapExceededError, ParseError
 
 import oracles
 import pytest
@@ -21,6 +22,12 @@ def test_level0():
     assert propagate(frozenset([BOT]), 0).refuted
     f = cs([1, 2])
     assert propagate(f, 0).reduced == f
+
+
+def test_negative_level_is_a_parse_error():
+    for f in (cs([1, 2], [-1]), frozenset([BOT])):
+        with pytest.raises(ParseError):
+            propagate_packed(pack_set(f), -1, {})
 
 
 def test_level1_chain():
