@@ -257,6 +257,10 @@ class SubsumptionIndex:
         """The kept clauses that hold literal bit b."""
         return self._members(self.alive & self.occ.get(b, 0))
 
+    def count(self, b):
+        """How many kept clauses hold literal bit b."""
+        return (self.alive & self.occ.get(b, 0)).bit_count()
+
     def __iter__(self):
         return self._members(self.alive)
 

@@ -2,10 +2,10 @@
 
 from dataclasses import dataclass
 
-from .core import (SubsumptionIndex, bits, falsify, pack, pack_set, union,
-                   unpack_set, variable_bits)
+from .core import (SubsumptionIndex, bits, falsify, flip, pack, pack_set,
+                   union, unpack_set, variable_bits)
 from .errors import CapExceededError
-from .propagation import sat_packed
+from .propagation import _unit_scan, sat_packed
 
 
 def implies(f, c, cap_vars=24):
@@ -28,12 +28,17 @@ def equivalent(f, g, cap_vars=24):
 def prime_implicates(f, cap_clauses=100000):
     """Prime implicates of f by Tison's consensus method.
 
-    Variable by variable, in ascending order, every non-tautological
-    resolvent of f's packed clauses on it is added in ascending size; a
-    resolvent that a kept clause subsumes is dropped, and kept clauses
-    that it subsumes are removed.  Resolvents on a variable no longer
-    contain it, so each variable needs a single pass.  `cap_clauses`
-    bounds the working set after each variable.
+    Variable by variable, every non-tautological resolvent of f's packed
+    clauses on it is added in ascending size; a resolvent that a kept
+    clause subsumes is dropped, and kept clauses that it subsumes are
+    removed.  Resolvents on a variable no longer contain it, so each
+    variable needs a single pass, and any order gives the same primes.
+    The next variable is the one left whose kept positive and negative
+    occurrence counts have the smallest product, the lower bit on ties:
+    the Davis-Putnam cost of bounded variable elimination (Een & Biere,
+    SatElite, 2005).  `cap_clauses` bounds the working set after each
+    eliminated variable, so which input hits the cap depends on that
+    order, not only on the primes.
 
     Returns exactly the inclusion-minimal implicates.  TOP yields TOP,
     anything unsatisfiable yields {BOT}.
@@ -43,8 +48,10 @@ def prime_implicates(f, cap_clauses=100000):
     kept = SubsumptionIndex(u)
     for m in sorted(g, key=int.bit_count):
         kept.add(m)
-    positive = variable_bits(u)
-    for pos in bits(positive):
+    positive = left = variable_bits(u)
+    while left:
+        pos = min(bits(left), key=lambda p: kept.count(p) * kept.count(p << 1))
+        left ^= pos
         neg = pos << 1
         ps = [c ^ pos for c in kept.holding(pos)]
         ns = [c ^ neg for c in kept.holding(neg)]
@@ -61,15 +68,24 @@ def prime_implicates(f, cap_clauses=100000):
 def essential_primes(f, cap_vars=24, primes=None):
     """Primes that no other primes can replace.
 
-    `primes`, when given, must be the prime implicates of f; it saves
-    recomputing the closure.
+    A prime is replaceable when the other primes entail it.  Unit
+    propagation over them under its falsifier tries that first, as a
+    refutation proves the entailment; only the primes it leaves open go
+    to `entails`.  So `cap_vars` is checked only for those, every
+    essential prime among them: an input with no essential prime whose
+    replaceable primes unit propagation all refutes is answered under
+    any cap.  `primes`, when given, must be the prime implicates of f;
+    it saves recomputing the closure.
     """
     if primes is None:
         primes = prime_implicates(f)
     packed = {c: pack(c) for c in primes}
     g = frozenset(packed.values())
-    return frozenset(c for c, m in packed.items()
-                     if not entails(g - {m}, m, cap_vars))
+    short = sorted(g, key=int.bit_count)  # early units end a scan early
+    return frozenset(
+        c for c, m in packed.items()
+        if _unit_scan(filter(m.__ne__, short), flip(m))[0] is None
+        and not entails(g - {m}, m, cap_vars))
 
 
 @dataclass(frozen=True)

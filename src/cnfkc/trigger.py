@@ -169,19 +169,21 @@ def matching_number(g, cap_nodes=2 ** 20):
 
     Depth-first with an explicit stack over edge indices: at edge i,
     first take it if it is disjoint from those taken, then skip it.  The
-    state keeps `blocked`, the edges sharing a vertex with a taken one,
-    so a run of nodes that only step past blocked edges is crossed in
-    one step to the next free edge, or to the first index where the
-    bound cuts; each node crossed is charged to the cap.
+    state keeps `free`, the edges from i on that are disjoint from the
+    taken ones, so a run of nodes that only step past clashing edges is
+    crossed in one step to the next free edge, or to the first index
+    where the bound cuts; each node crossed is charged to the cap.
     """
     edges, _, clash = _edge_index(g)
     n = len(edges)
+    apart = [~c for c in clash]  # apart[j]: the edges disjoint from edge j
     best = _disjoint_edges(clash, (1 << n) - 1)
     path = [0] * n  # path[:size] holds the indices taken
     top = len(best)
-    stack = []  # skip branches still to visit: (i, blocked, size)
+    stack = []  # skip branches still to visit: (i, free, size)
     push, pop = stack.append, stack.pop
-    i = blocked = size = 0
+    i = size = 0
+    free = (1 << n) - 1
     left = cap_nodes  # nodes the cap still allows
     exact = False
     while left:
@@ -191,26 +193,27 @@ def matching_number(g, cap_nodes=2 ** 20):
             top = size
         # the bound cuts every node at or after `cut`; cut <= n
         cut = size + n - top
-        b = blocked >> i
-        j = i + ((b + 1) & ~b).bit_length() - 1  # the next free edge
+        low = free & -free
+        j = low.bit_length() - 1 if free else n  # the next free edge
         if j < cut:
-            # nodes i..j-1 skip blocked edges, node j takes its edge
+            # nodes i..j-1 skip clashing edges, node j takes its edge
             left -= j - i
             if left < 0:
                 break
-            push((j + 1, blocked, size))
+            push((j + 1, free ^ low, size))
             path[size] = j
-            blocked |= clash[j]
+            free &= apart[j]
             size += 1
             i = j + 1
             continue
-        left -= max(cut - i, 0)  # nodes i..cut-1 skip, node cut is cut
-        if left < 0:
-            break
+        if cut > i:
+            left -= cut - i  # nodes i..cut-1 skip, node cut is cut
+            if left < 0:
+                break
         if not stack:
             exact = True
             break
-        i, blocked, size = pop()
+        i, free, size = pop()
     picked = tuple(edges[j] for j in best)
     if exact:
         return SearchResult(top, picked, True, top, top)

@@ -319,6 +319,19 @@ def test_primes_command(tmp_path, capsys):
     assert sidecar["primes"][0]["clause"] == [2]
 
 
+def test_primes_answers_under_a_zero_cap_when_no_prime_needs_the_dpll(
+        tmp_path, capsys):
+    # unit propagation shows all 6 primes replaceable, so the variable
+    # cap is never checked and the command answers instead of exiting 3
+    path = tmp_path / "f.cnf"
+    path.write_text(emit_dimacs(cs([-1, -3], [1, 2, -3], [-1, -2, 3],
+                                   [-2, 3], [1, 2])))
+    code, out = run(capsys, "primes", "--cap-vars", "0", str(path))
+    assert code == 0
+    sidecar = json.loads(out[out.index("{"):])
+    assert (sidecar["count"], sidecar["essential_count"]) == (6, 0)
+
+
 def test_dope_command(tmp_path, capsys):
     path = tmp_path / "f.cnf"
     path.write_text(emit_dimacs(build_g_n(2)))

@@ -1,9 +1,11 @@
 import itertools
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 
 from cnfkc.core import BOT, clause, subsumption_eliminate
+from cnfkc.errors import CapExceededError
 from cnfkc.primes import (equivalent, essential_primes, implies,
                           prime_implicates)
 
@@ -58,14 +60,32 @@ def test_closure_matches_bruteforce():
         assert prime_implicates(f) == prime_implicates_bruteforce(f)
 
 
+def cl(*clauses):
+    return tuple(clause(c) for c in clauses)
+
+
 @settings(max_examples=300, deadline=None)
 @given(clause_lists() | short_clause_lists())
 @clause_list_examples
+# the closure eliminates 2, 3, 4, 5, 1: 1 occurs most
+@example(cl([1, 2], [1, 3], [-1, 4], [-1, 5], [-2, -4], [-3, -5]))
+# 3, 5, 2, 4, 1
+@example(cl([1, -2], [1, 3], [-1, 4], [2, -3, -4], [-1, -4, 5], [-5, 2]))
+# 5, 3, 2, 7, 1000 on sparse ids
+@example(cl([1000, -7], [7, 3], [7, -3, 2], [-1000, 2], [-1000, -2, 5]))
 def test_closure_matches_allpairs_and_bruteforce(f):
     primes = prime_implicates(f)
     assert primes == oracles.prime_implicates_allpairs(f)
     assert primes == prime_implicates_bruteforce(f)
     assert essential_primes(f) == essential_primes(f, primes=primes)
+
+
+def test_doped_tree_k2_h4_closure_has_one_prime_per_leafset():
+    # 15 leaves; the closure takes about a second in elimination-cost
+    # order and over a minute in ascending variable order
+    from cnfkc.cli import build_extremal_doped
+    _, d = build_extremal_doped(2, 4)
+    assert len(prime_implicates(d.doped)) == 2 ** 15 - 1
 
 
 def test_doped_tree_k1_h4_has_one_prime_per_leafset():
@@ -105,6 +125,29 @@ def test_essential_primes():
         d = dope(f)
         ess = essential_primes(d.doped)
         assert d.doped <= ess
+
+
+@settings(max_examples=300, deadline=None)
+@given(clause_lists() | short_clause_lists())
+@clause_list_examples
+# unit propagation leaves the prime {1, 2} open though the others entail
+# it, so the DPLL decides it
+@example(cl([1, 2], [1, 3, 4], [-1, -2], [-1, -2, 3, 4], [-1, -3, 2, 4],
+            [-1, -4, 2, 3], [-1, -2, -4, 3], [-2, -3, -4, 1]))
+def test_essential_primes_match_the_truth_table(f):
+    primes = prime_implicates(f)
+    assert essential_primes(f) == {
+        c for c in primes if not oracles.implies_tt(primes - {c}, c)}
+
+
+def test_essential_primes_reach_the_cap_only_past_unit_propagation():
+    # unit propagation shows every prime of f replaceable, so no DPLL
+    # runs and the variable cap of 0 is never checked
+    f = cs([-1, -3], [1, 2, -3], [-1, -2, 3], [-2, 3], [1, 2])
+    assert essential_primes(f, cap_vars=0) == frozenset()
+    # a unit prime is essential, so the DPLL decides it under the cap
+    with pytest.raises(CapExceededError):
+        essential_primes(cs([1], [2]), cap_vars=0)
 
 
 def test_equivalent():

@@ -158,6 +158,11 @@ def test_searches_match_the_references_on_golden_rows(k, h):
         nu = matching_number(g, cap_nodes=cap)
         assert not nu.exact  # so the capped path is the one compared
         assert nu == oracles.matching_number_recursive(g, cap_nodes=cap)
+    if (k, h) == (1, 3):
+        # the default cap: the outcome the separation golden prints
+        nu = matching_number(g)
+        assert (nu.value, nu.exact) == (10, False)
+        assert nu == oracles.matching_number_recursive(g)
 
 
 @st.composite
