@@ -177,22 +177,27 @@ def _worst_falsifier(f, primes, refutes):
     unsatisfiable f, the `_least_level` of f itself and no prime; else
     the worst `_least_level` over the falsifiers of the primes, with the
     first critical prime in canonical order (0 and none for TOP, which
-    has no primes).  Primes with one falsified instance share one
-    `_least_level`."""
+    has no primes).  As in `_phd_with_witness`, each distinct falsified
+    instance is tested at the running maximum and climbed only when that
+    fails, up to `_least_level`'s saturation bound."""
     g = pack_set(f)
     if BOT in primes:
         return _least_level(g, refutes), None
-    levels = {}  # falsified instance -> its least level
-
-    def level(c):
+    best, crit, done = 0, None, set()
+    for c in sorted_clauses(primes):
         h = falsify(g, pack(c))
-        hit = levels.get(h)
-        if hit is None:
-            hit = levels[h] = _least_level(h, refutes)
-        return hit
-
-    return max(((level(c), c) for c in sorted_clauses(primes)),
-               key=lambda vc: vc[0], default=(0, None))
+        if h in done:
+            continue
+        done.add(h)
+        k, top = best, packed_variable_count(h) + 1
+        while not refutes(h, k):
+            if k >= top:
+                raise IntegrityError(
+                    "unsatisfiable input not refuted at saturation")
+            k += 1
+        if k > best or crit is None:
+            best, crit = k, c
+    return best, crit
 
 
 def hd(f, cap_vars=24, primes=None):

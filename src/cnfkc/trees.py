@@ -164,13 +164,18 @@ def extremal_tree(k, h):
 
 def pure_of_leafset(t, addrs):
     """Pure clause of the path clauses named by leaf addresses."""
+    return _pure_of_leafset(t, addrs)[0]
+
+
+def _pure_of_leafset(t, addrs):
+    """(pure clause, path clauses) of the leaves named by addresses."""
     paths = leaf_paths(t)
     try:
         sub = [paths[a] for a in addrs]
     except KeyError as e:
         raise ParseError("unknown leaf address %s" % e)
     lits = {x for c in sub for x in c}
-    return frozenset(x for x in lits if -x not in lits)
+    return frozenset(x for x in lits if -x not in lits), sub
 
 
 def doped_clause_of_leafset(t, doped, addrs):
@@ -180,14 +185,9 @@ def doped_clause_of_leafset(t, doped, addrs):
     the result joins the doping variables of the chosen leaves with the
     pure clause of their path clauses.
     """
-    paths = leaf_paths(t)
+    pure, sub = _pure_of_leafset(t, addrs)
     inverse = {c: u for u, c in doped.doping_map.items()}
-    lits = set()
-    for a in addrs:
-        if a not in paths:
-            raise ParseError("unknown leaf address %s" % a)
-        lits.add(inverse[paths[a]])
-    return frozenset(lits) | pure_of_leafset(t, addrs)
+    return frozenset(inverse[c] for c in sub) | pure
 
 
 def depth_subtrees(t, k):

@@ -8,13 +8,15 @@ its size from below; disjoint-edge witnesses bound the transversal number
 in turn.
 """
 
+import heapq
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .compile import equivalent_subset, greedy_base, smallest_base
-from .core import (bits, clause_key, flip, pack, pack_set, sorted_clauses,
+from .core import (clause_key, flip, pack, pack_set, sorted_clauses,
                    unpack_set)
 from .errors import ParseError
 from .hardness import whd_at_most
@@ -28,6 +30,10 @@ class TriggerHypergraph:
     edges: tuple     # per vertex i, frozenset of vertex indices
     k: int
 
+    # `_edge_index` of the hypergraph: built on first use, then shared
+    # read-only; not a field, so eq, hash and repr ignore it
+    index = cached_property(lambda g: _edge_index(g))
+
 
 def trigger_hypergraph(f, k, primes=None, cap_clauses=100000):
     """Level-k trigger hypergraph of f (vertices: all prime implicates)."""
@@ -35,12 +41,13 @@ def trigger_hypergraph(f, k, primes=None, cap_clauses=100000):
         primes = prime_implicates(f, cap_clauses=cap_clauses)
     vs = sorted_clauses(primes)
     masks = [pack(c) for c in vs]
+    numbered = list(enumerate(masks))
     edges = []
     for c in masks:
-        neg = flip(c)
-        edges.append(frozenset(
-            i for i, d in enumerate(masks)
-            if not d & neg and (d & ~c).bit_count() <= k))
+        neg, out = flip(c), ~c
+        edges.append(frozenset([i for i, d in numbered
+                                if (d & out).bit_count() <= k
+                                and not d & neg]))
     return TriggerHypergraph(vertices=tuple(vs), edges=tuple(edges), k=k)
 
 
@@ -61,16 +68,12 @@ class SearchResult:
     upper_bound: int
 
 
-def _dedupe_edges(g):
-    return sorted(set(g.edges), key=lambda e: (len(e), sorted(e)))
-
-
 def _edge_index(g):
-    """(edges, inc, clash): the deduped edges in `_dedupe_edges` order;
-    per vertex v, `inc[v]` is the bitmask of the indices of the edges
-    containing v; per edge j, `clash[j]` is the bitmask of the edges
+    """(edges, inc, clash): the distinct edges, by size and then sorted
+    vertices; per vertex v, `inc[v]` is the bitmask of the indices of the
+    edges containing v; per edge j, `clash[j]` is the bitmask of the edges
     sharing a vertex with edge j, and always has bit j."""
-    edges = _dedupe_edges(g)
+    edges = sorted(set(g.edges), key=lambda e: (len(e), sorted(e)))
     inc = {}
     for j, e in enumerate(edges):
         bit = 1 << j
@@ -86,18 +89,22 @@ def _edge_index(g):
 
 
 def _greedy_cover(edges, inc):
-    """Repeatedly take the vertex in most uncovered edges, least on ties."""
-    counts = {v: m.bit_count() for v, m in inc.items()}
+    """Repeatedly take the vertex in most uncovered edges, least on ties:
+    counts only fall, so a popped heap entry (-count, vertex) that is
+    still current wins, and a stale one goes back with its count now."""
+    heap = [(-m.bit_count(), v) for v, m in inc.items()]
+    heapq.heapify(heap)
     chosen = []
     uncovered = (1 << len(edges)) - 1
     while uncovered:
-        best = min(counts, key=lambda v: (-counts[v], v))
-        chosen.append(best)
-        hit = uncovered & inc[best]
+        count, v = heapq.heappop(heap)
+        hit = uncovered & inc[v]
+        now = hit.bit_count()
+        if now != -count:
+            heapq.heappush(heap, (-now, v))
+            continue
+        chosen.append(v)
         uncovered ^= hit
-        for low in bits(hit):
-            for v in edges[low.bit_length() - 1]:
-                counts[v] -= 1
     return chosen
 
 
@@ -125,16 +132,15 @@ def transversal_number(g, cap_nodes=2 ** 20):
     reaches the best cover; the count stops there.  On hitting the node
     cap the best known bounds are returned flagged inexact.
     """
-    edges, inc, clash = _edge_index(g)
+    edges, inc, clash = g.index
     if not edges:
         return SearchResult(0, (), True, 0, 0)
     if not edges[0]:  # the empty edge sorts first
         raise ParseError("hypergraph has an empty edge; no transversal")
     every = (1 << len(edges)) - 1
     without = {v: ~m for v, m in inc.items()}
-    # per edge, its vertices in reverse branching order, to push as is
-    pushes = [sorted(e, key=lambda v: (inc[v].bit_count(), -v))
-              for e in edges]
+    # per edge branched on, its vertices in reverse branching order
+    pushes = {}
     best = _greedy_cover(edges, inc)
     path = [0] * len(inc)  # path[:size] is the partial transversal
     # (size, parent's uncovered edges, vertex just added or -1)
@@ -154,8 +160,11 @@ def transversal_number(g, cap_nodes=2 ** 20):
         room = len(best) - size
         if len(_disjoint_edges(clash, uncovered, room)) >= room:
             continue
-        low = uncovered & -uncovered
-        for v in pushes[low.bit_length() - 1]:
+        j = (uncovered & -uncovered).bit_length() - 1
+        if j not in pushes:
+            pushes[j] = sorted(edges[j],
+                               key=lambda v: (inc[v].bit_count(), -v))
+        for v in pushes[j]:
             push((size + 1, uncovered, v))
     found = tuple(sorted(best))
     if stack:  # capped with nodes left
@@ -174,7 +183,7 @@ def matching_number(g, cap_nodes=2 ** 20):
     crossed in one step to the next free edge, or to the first index
     where the bound cuts; each node crossed is charged to the cap.
     """
-    edges, _, clash = _edge_index(g)
+    edges, _, clash = g.index
     n = len(edges)
     apart = [~c for c in clash]  # apart[j]: the edges disjoint from edge j
     best = _disjoint_edges(clash, (1 << n) - 1)
@@ -299,7 +308,7 @@ def min_equivalent_size(f, k, mode="exhaustive", cap_primes=18,
         rep = greedy_base(vs, ess, level)[0]
         return MinEquivResult(size=len(rep), representative=unpack_set(rep),
                               exact=False, lower_bound=floor)
-    edges = [frozenset(vs[i] for i in e) for e in _dedupe_edges(hypergraph)]
+    edges = [frozenset(vs[i] for i in e) for e in hypergraph.index[0]]
     rep = smallest_base(vs, ess,
                         lambda sub: (all(e & sub for e in edges)
                                      and equivalent_subset(sub, g)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import cnfkc
+from cnfkc import trigger
 from cnfkc.cli import (build_g_n, build_horn_chain, build_parser, main,
                        separation_row)
 from cnfkc.core import (clause, emit_dimacs, measures,
@@ -429,6 +430,21 @@ def test_separation_row_chain():
     assert row.c == 4 and row.primes == 15 and row.hd == 1
     assert row.sperner_bound == 6
     assert row.sperner_bound <= row.nu_k <= row.tau_k <= row.min_equiv
+
+
+def test_separation_row_builds_the_edge_index_once(monkeypatch):
+    # τ, ν and min_equivalent_size read one index of the hypergraph
+    built = []
+    real = trigger._edge_index
+
+    def counted(g):
+        built.append(g)
+        return real(g)
+
+    monkeypatch.setattr(trigger, "_edge_index", counted)
+    row = separation_row(1, 3)
+    assert (row.tau_k, row.nu_k, row.min_equiv) == (11, 10, 11)
+    assert len(built) == 1
 
 
 def test_separation_row_holds_min_equiv_to_a_capped_taus_lower_bound(

@@ -221,21 +221,37 @@ def test_the_cap_counts_kept_clauses_and_bounds_the_dropped_ones(monkeypatch):
 
 def test_whd_decides_each_falsified_instance_once(monkeypatch):
     # the 127 primes of the doped (1,3) tree have 38 distinct falsified
-    # instances
+    # instances; each is tested from the running maximum up, so no
+    # instance is tested twice at one level
     from cnfkc.cli import build_extremal_doped
     from cnfkc.primes import prime_implicates
     f = build_extremal_doped(1, 3)[1].doped
     primes = prime_implicates(f)
-    calls = []
-    least_level = hardness._least_level
+    asked = []
+    refutes = hardness._k_res_refutes
 
-    def counted(g, refutes):
-        calls.append(g)
-        return least_level(g, refutes)
+    def counted(g, k):
+        asked.append((g, k))
+        return refutes(g, k)
 
-    monkeypatch.setattr(hardness, "_least_level", counted)
+    monkeypatch.setattr(hardness, "_k_res_refutes", counted)
     assert whd(f, primes=primes) == 2
-    assert len(calls) <= 38
+    assert len({g for g, _ in asked}) <= 38
+    assert len(set(asked)) == len(asked)
+
+
+def test_critical_prime_is_the_first_to_reach_the_maximum():
+    # {1} is refuted at level 0, {2} and {3} at level 1: {2} rises
+    # strictly and {3} only ties; when every level is 0, the first prime
+    # in canonical order is critical; TOP has no prime
+    cases = [(cs([1], [2, 4], [2, -4], [3, 5], [3, -5]), clause([2]), 1),
+             (cs([1], [2]), clause([1]), 0),
+             (frozenset(), None, 0)]
+    for f, crit, level in cases:
+        rep = hardness_report(f)
+        for name in ("hd", "whd", "wid"):
+            assert rep.witnesses[name] == {"critical_prime": crit,
+                                           "level": level}
 
 
 def test_width_refutes_monotone():

@@ -23,6 +23,9 @@ ALLOWED = {
     "report_to_json": "golden-pinned: renders hardness_report in golden/",
     "equivalent": "the tests' reference for logical equivalence",
     "is_mps": "the frozenset wrapper of is_mps_packed",
+    "pure_of_leafset": "the pure clause of a leaf set, checked against the "
+                       "paper's example; doped_clause_of_leafset shares "
+                       "its helper",
 }
 
 

@@ -213,6 +213,12 @@ def _graph(n, *edges):
 @example(_graph(3, [1], [1, 2], [0], [0, 2]))
 # τ runs out at caps 4, 5 and 11 on a bound cut and ends after 13 nodes
 @example(_graph(8, [2, 5], [3, 4, 5], [0, 1, 2], [0, 6], [1, 7], [2, 6]))
+# at a root cut τ returns the greedy cover: on a count tie the lower
+# vertex wins, so it is {0, 2} and not {1, 3}
+@example(_graph(4, [0, 1], [2, 3]))
+# taking 0 leaves vertex 1 a stale heap entry of count 2, popped before
+# vertex 2 of count 2; refreshed, it drops, and the cover is {0, 2}
+@example(_graph(8, [0, 1], [0, 1, 4], [0, 5], [2, 6], [2, 7]))
 def test_searches_match_the_recursive_references(g):
     for cap in (1, 2, 3, 4, 5, 7, 11, 13, 50, 97, 2 ** 20):
         assert (_outcome(transversal_number, g, cap)
