@@ -7,7 +7,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import compile as kc
 from .core import (clause, clause_key, emit_dimacs, measures,
@@ -91,12 +91,17 @@ def _at_least_zero(args, *names):
 
 
 def _setting(args, cfg, name, default):
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in cfg:
-        return _int(cfg[name], name)
-    return default
+    """The flag `name` when given, else its config key, else `default`;
+    a value below 0 is a ParseError naming the flag or the key."""
+    value = getattr(args, name, None)
+    where = "--" + name.replace("_", "-")
+    if value is None:
+        if name not in cfg:
+            return default
+        value, where = _int(cfg[name], name), "config key " + name
+    if value < 0:
+        raise ParseError("%s must be at least 0, got %d" % (where, value))
+    return value
 
 
 def _read_clause_set(path):
@@ -153,6 +158,10 @@ def _clauses_json(f):
     return [list(clause_key(c)) for c in sorted_clauses(f)]
 
 
+def _doping_map_json(d):
+    return {str(u): list(clause_key(c)) for u, c in d.doping_map.items()}
+
+
 def cmd_generate(args, cfg):
     _at_least_zero(args, "n", "h")
     family = args.family
@@ -161,15 +170,13 @@ def cmd_generate(args, cfg):
         t, d = build_extremal_doped(args.k, args.h)
         f = d.doped
         meta["tree"] = tree_to_term(t)
-        meta["doping_map"] = {str(u): list(clause_key(c))
-                              for u, c in d.doping_map.items()}
+        meta["doping_map"] = _doping_map_json(d)
         meta["k"] = args.k
         meta["h"] = args.h
     elif family == "horn_chain":
         d = build_horn_chain(args.h)
         f = d.doped
-        meta["doping_map"] = {str(u): list(clause_key(c))
-                              for u, c in d.doping_map.items()}
+        meta["doping_map"] = _doping_map_json(d)
         meta["h"] = args.h
     elif family == "g_n":
         n = args.n if args.n is not None else args.h
@@ -265,8 +272,7 @@ def cmd_dope(args, cfg):
     d = dope(f)
     text = emit_dimacs(d.doped, comments=["doped"])
     _emit(args, text)
-    meta = {"doping_map": {str(u): list(clause_key(c))
-                           for u, c in d.doping_map.items()}}
+    meta = {"doping_map": _doping_map_json(d)}
     if getattr(args, "out", None):
         _emit_sidecar(args, meta)
     return 0
@@ -343,12 +349,10 @@ class SeparationRow:
     min_equiv_exact: bool
 
 
-ROW_FIELDS = ["k", "h", "n", "c", "ell", "primes", "hd", "whd",
-              "tau_k", "tau_exact", "nu_k", "nu_exact",
-              "sperner_bound", "min_equiv", "min_equiv_exact"]
+ROW_FIELDS = [field.name for field in fields(SeparationRow)]
 
 
-def separation_row(k, h, cap_primes=18, cap_nodes=2 ** 20):
+def separation_row(k, h, cap_primes=18):
     """One experiment row for the doped extremal tree at (k, h)."""
     t, d = build_extremal_doped(k, h)
     f = d.doped
@@ -362,8 +366,8 @@ def separation_row(k, h, cap_primes=18, cap_nodes=2 ** 20):
             % (row_hd, k, h, k + 1))
     row_whd = whd(f, primes=primes)
     g = trigger_hypergraph(f, k, primes=primes)
-    tau = transversal_number(g, cap_nodes=cap_nodes)
-    nu = matching_number(g, cap_nodes=cap_nodes)
+    tau = transversal_number(g)
+    nu = matching_number(g)
     bound = extremal_sperner_bound(t, k)
     witness = sperner_witness(t, k)
     vertex_index = {c: i for i, c in enumerate(g.vertices)}
@@ -387,9 +391,7 @@ def separation_row(k, h, cap_primes=18, cap_nodes=2 ** 20):
     if bound > nu_value:
         raise IntegrityError(
             "matching below guaranteed floor at (k=%d,h=%d)" % (k, h))
-    me = min_equivalent_size(f, k, cap_primes=cap_primes,
-                             cap_nodes=cap_nodes, primes=primes,
-                             essential=rep.essential, hypergraph=g, tau=tau)
+    me = min_equivalent_size(g, rep.essential, tau, cap_primes=cap_primes)
     # a capped tau.value is only an upper bound on tau: min_equiv is
     # held to tau's lower bound
     if me.exact:

@@ -17,8 +17,8 @@ from .primes import entails, essential_primes
 class KBase:
     clauses: frozenset
     level: int
-    added: tuple = ()
-    removed: tuple = ()
+    added: tuple
+    removed: tuple
 
 
 def equivalent_subset(sub, primes, shown=None):
@@ -99,39 +99,22 @@ def smallest_base(order, ess, good, floor, cap_primes):
     raise IntegrityError("full prime set rejected; search is broken")
 
 
-def k_base(primes, k, mode="heuristic", cap_primes=18):
+def k_base(primes, k):
     """Equivalent subset of the primes with propagation hardness <= k.
 
-    Heuristic: seed with the essential primes, add the rest by ascending
-    size until the subset is equivalent and within hardness k, then sweep
-    removals once by descending size so the result is minimal
-    clause-wise.  Exhaustive mode is `smallest_base` from the essential
-    primes, which every equivalent subset holds: a true minimum, or
-    `CapExceededError` when the cap stops the search.
-
-    Both modes share one `proofs` dict of `hd_at_most`'s refutation
-    certificates, so a prime is refuted again only when a clause of its
-    last proof has gone.
+    Seed with the essential primes, add the rest by ascending size until
+    the subset is equivalent and within hardness k, then sweep removals
+    once by descending size so the result is minimal clause-wise
+    (`greedy_base`).  Every `hd_at_most` test shares one `proofs` dict
+    of refutation certificates, so a prime is refuted again only when a
+    clause of its last proof has gone.
     """
     primes = frozenset(primes)
     g = pack_set(primes)
-    order = sorted_masks(g)
     ess = pack_set(essential_primes(primes, primes=primes))
     proofs = {}  # one set of refutation certificates for the whole run
-
-    def level(sub):
-        return hd_at_most(sub, k, g, proofs=proofs)
-
-    if mode == "exhaustive":
-        base = smallest_base(
-            order, ess, lambda sub: equivalent_subset(sub, g) and level(sub),
-            len(ess), cap_primes)
-        if base is None:
-            raise CapExceededError(
-                "exhaustive base search capped at %d primes" % cap_primes)
-        return KBase(clauses=unpack_set(base), level=k)
-
-    base, added, removed = greedy_base(order, ess, level)
+    base, added, removed = greedy_base(
+        sorted_masks(g), ess, lambda sub: hd_at_most(sub, k, g, proofs=proofs))
     return KBase(clauses=unpack_set(base), level=k,
                  added=tuple(map(unpack, added)),
                  removed=tuple(map(unpack, removed)))

@@ -278,11 +278,6 @@ class ResolutionError(ValueError):
     """The two clauses do not clash in exactly one variable."""
 
 
-def resolvable(c, d):
-    clash = [x for x in c if -x in d]
-    return len(clash) == 1
-
-
 def resolve(c, d):
     """Resolvent of two clauses clashing in exactly one variable."""
     clash = [x for x in c if -x in d]

@@ -63,22 +63,17 @@ def _strip_pure(g):
     return pure, frozenset(m & ~pure for m in g)
 
 
-def is_mps(f, cap_vars=24):
-    """Is f a minimal premise set (of its pure clause)?
+def is_mps_packed(g, cap_vars=24):
+    """Are the distinct packed clauses g a minimal premise set (of their
+    pure clause)?
 
-    Returns (flag, pure clause).  Criterion: instantiating by the
-    falsifier of the pure clause must be contraction-free on f and leave
-    a minimally unsatisfiable clause-set.  No clause of f holds the
+    Returns (flag, packed pure clause).  Criterion: instantiating by the
+    falsifier of the pure clause must be contraction-free on g and leave
+    a minimally unsatisfiable clause-set.  No clause of g holds the
     complement of a pure literal, so the instantiation strips the pure
     literals, and two clauses contract when they leave the same image.
+    Only minimal unsatisfiability is tested, not saturation.
     """
-    flag, pure = is_mps_packed(pack_set(f), cap_vars)
-    return flag, unpack(pure)
-
-
-def is_mps_packed(g, cap_vars=24):
-    """`is_mps` on the distinct packed clauses g: (flag, packed pure
-    clause).  Only minimal unsatisfiability is tested, not saturation."""
     pure, images = _strip_pure(g)
     return len(images) == len(g) and is_mu_packed(images, cap_vars), pure
 

@@ -1,4 +1,4 @@
-"""Prime implicates, entailment, equivalence."""
+"""Prime implicates and entailment."""
 
 from dataclasses import dataclass
 
@@ -17,12 +17,6 @@ def entails(g, c, cap_vars=24):
     """`implies` on packed clauses.  The cap applies to the variables
     left after instantiating g by the falsifier of c."""
     return sat_packed(falsify(g, c), cap_vars) is None
-
-
-def equivalent(f, g, cap_vars=24):
-    """Logical equivalence via mutual clause entailment."""
-    return (all(implies(f, c, cap_vars) for c in g)
-            and all(implies(g, c, cap_vars) for c in f))
 
 
 def prime_implicates(f, cap_clauses=100000):

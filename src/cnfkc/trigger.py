@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .compile import equivalent_subset, greedy_base, smallest_base
+from .compile import equivalent_subset, smallest_base
 from .core import (clause_key, flip, pack, pack_set, sorted_clauses,
                    unpack_set)
 from .errors import ParseError
 from .hardness import whd_at_most
-from .primes import essential_primes, prime_implicates
+from .primes import prime_implicates
 from .trees import depth_subtrees, is_leaf, leaf_paths, tree_stats
 
 
@@ -35,10 +35,10 @@ class TriggerHypergraph:
     index = cached_property(lambda g: _edge_index(g))
 
 
-def trigger_hypergraph(f, k, primes=None, cap_clauses=100000):
+def trigger_hypergraph(f, k, primes=None):
     """Level-k trigger hypergraph of f (vertices: all prime implicates)."""
     if primes is None:
-        primes = prime_implicates(f, cap_clauses=cap_clauses)
+        primes = prime_implicates(f)
     vs = sorted_clauses(primes)
     masks = [pack(c) for c in vs]
     numbered = list(enumerate(masks))
@@ -269,50 +269,28 @@ class MinEquivResult:
     lower_bound: int
 
 
-def min_equivalent_size(f, k, mode="exhaustive", cap_primes=18,
-                        cap_nodes=2 ** 20, primes=None, essential=None,
-                        hypergraph=None, tau=None):
-    """Smallest equivalent subset of the primes with asymmetric width <= k.
+def min_equivalent_size(hypergraph, essential, tau, cap_primes=18):
+    """Smallest equivalent subset of the primes with asymmetric width <= k,
+    for the level-k trigger `hypergraph` of the primes, their `essential`
+    primes and `tau`, the hypergraph's `transversal_number`.
 
-    Exhaustive mode is `compile.smallest_base` from the floor
+    The search is `compile.smallest_base` from the floor
     max(tau.lower_bound, |essential primes|), over the subsets holding
     the essential primes and hitting every trigger edge.  When the cap
     stops it, the floor is returned flagged inexact, with no
     representative.  When tau forces every prime, the full set is the
-    single candidate and is tried whatever the cap.  Heuristic mode
-    greedily adds primes by ascending size, then removes by descending
-    size in one sweep (`compile.greedy_base`, as `k_base` does), and
-    reports the result as an upper bound only.
-
-    `primes`, `essential`, `hypergraph` (level k) and `tau` (its
-    `transversal_number` under `cap_nodes`), when given, must be what
-    this function would compute from f; they save recomputing it.
+    single candidate and is tried whatever the cap.
     """
-    if primes is None:
-        primes = prime_implicates(f)
-    if essential is None:
-        essential = essential_primes(f, primes=primes)
-    if hypergraph is None:
-        hypergraph = trigger_hypergraph(f, k, primes=primes)
-    if tau is None:
-        tau = transversal_number(hypergraph, cap_nodes=cap_nodes)
     vs = [pack(c) for c in hypergraph.vertices]
     g = frozenset(vs)
+    k = hypergraph.k
     ess = pack_set(essential)
     floor = max(tau.lower_bound, len(ess))
-
-    def level(sub):
-        return whd_at_most(sub, k, g)
-
-    if mode == "heuristic":
-        rep = greedy_base(vs, ess, level)[0]
-        return MinEquivResult(size=len(rep), representative=unpack_set(rep),
-                              exact=False, lower_bound=floor)
     edges = [frozenset(vs[i] for i in e) for e in hypergraph.index[0]]
     rep = smallest_base(vs, ess,
                         lambda sub: (all(e & sub for e in edges)
                                      and equivalent_subset(sub, g)
-                                     and level(sub)),
+                                     and whd_at_most(sub, k, g)),
                         floor, cap_primes)
     if rep is None:
         return MinEquivResult(size=floor, representative=frozenset(),

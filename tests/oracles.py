@@ -7,7 +7,7 @@ the real algorithms is the point of the tests that import them.
 
 import itertools
 
-from cnfkc.core import (BOT, apply_assignment, clause, resolvable, resolve,
+from cnfkc.core import (BOT, apply_assignment, clause, resolve,
                         sorted_clauses, subsumption_eliminate, variables)
 from cnfkc.errors import CapExceededError, ParseError
 from cnfkc.primes import implies
@@ -47,6 +47,12 @@ def implies_tt(f, c):
                 phi[abs(x)] == (1 if x > 0 else 0) for x in c):
             return False
     return True
+
+
+def resolvable(c, d):
+    """Do the clauses c and d clash in exactly one variable?"""
+    clash = [x for x in c if -x in d]
+    return len(clash) == 1
 
 
 def prime_implicates_allpairs(f):

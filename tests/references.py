@@ -12,20 +12,29 @@ partial assignment that `hardness.phd` replaced, and
 truth tables and, for asymmetric width, by `whd_by_definition`.
 `models_by_walk` is the model walk that `compile.enumerate_models`
 replaced, copying the partial assignment as a dict at every node.
+`equivalent` is logical equivalence by mutual entailment.  Each library
+entry point runs one base search, so the other pairings live here:
+`smallest_hd_base` (the exact search under hardness k),
+`greedy_whd_base` (the greedy search under asymmetric width k) and
+`min_equivalent_of` (`trigger.min_equivalent_size` from f alone).
 """
 
 import itertools
 
+from cnfkc.compile import equivalent_subset, greedy_base, smallest_base
 from cnfkc.core import (BOT, apply_assignment, assignment_satisfies,
                         clause_falsifier, clause_key, flip, instantiate,
                         literal_assignment, literal_bit, literals_of,
-                        pack_set, packed_variable_count, resolvable, resolve,
-                        sorted_clauses, variables)
+                        pack_set, packed_variable_count, resolve,
+                        sorted_clauses, sorted_masks, unpack_set, variables)
 from cnfkc.errors import CapExceededError, IntegrityError
-from cnfkc.hardness import k_res_packed
+from cnfkc.hardness import hd_at_most, k_res_packed, whd_at_most
 from cnfkc.mpsdope import MuFlags, pure_clause
+from cnfkc.primes import essential_primes, implies, prime_implicates
 from cnfkc.propagation import (REFUTED, PropagationResult, propagate_packed,
                                sat_oracle, unit_propagate)
+from cnfkc.trigger import (min_equivalent_size, transversal_number,
+                           trigger_hypergraph)
 
 import oracles
 
@@ -124,7 +133,7 @@ def k_res_refutes_frozenset(f, k, cap_clauses=200000):
             d = order[j]
             if len(c) > k and len(d) > k:
                 continue
-            if not resolvable(c, d):
+            if not oracles.resolvable(c, d):
                 continue
             r = resolve(c, d)
             if r in seen:
@@ -152,7 +161,7 @@ def width_refutes_frozenset(f, w, cap_clauses=200000):
         c = order[i]
         for j in range(i):
             d = order[j]
-            if not resolvable(c, d):
+            if not oracles.resolvable(c, d):
                 continue
             r = resolve(c, d)
             if len(r) > w or r in seen:
@@ -222,7 +231,7 @@ def _clause_images(phi, f):
 
 
 def is_mps_frozenset(f, cap_vars=24):
-    """`mpsdope.is_mps` by per-clause frozenset images."""
+    """`mpsdope.is_mps_packed` by per-clause frozenset images."""
     pure = pure_clause(f)
     if not f:
         return False, pure
@@ -300,6 +309,47 @@ def smallest_equivalent_subset(primes, level):
                     and level(sub)):
                 return sub
     raise AssertionError("no prime subset passes, not even all of them")
+
+
+def equivalent(f, g, cap_vars=24):
+    """Logical equivalence via mutual clause entailment."""
+    return (all(implies(f, c, cap_vars) for c in g)
+            and all(implies(g, c, cap_vars) for c in f))
+
+
+def smallest_hd_base(primes, k, cap_primes):
+    """The smallest equivalent subset of the prime implicates `primes`
+    within hardness k: `compile.smallest_base` from the essential primes
+    under `hd_at_most`; None when the cap stops it."""
+    g = pack_set(primes)
+    ess = pack_set(essential_primes(primes, primes=primes))
+    base = smallest_base(
+        sorted_masks(g), ess,
+        lambda sub: equivalent_subset(sub, g) and hd_at_most(sub, k, g),
+        len(ess), cap_primes)
+    return None if base is None else unpack_set(base)
+
+
+def greedy_whd_base(f, k):
+    """`compile.greedy_base` over the primes of f under `whd_at_most`: an
+    equivalent prime subset within asymmetric width k from which one
+    sweep removed every prime it could."""
+    primes = prime_implicates(f)
+    g = pack_set(primes)
+    ess = pack_set(essential_primes(f, primes=primes))
+    base = greedy_base(sorted_masks(g), ess,
+                       lambda sub: whd_at_most(sub, k, g))[0]
+    return unpack_set(base)
+
+
+def min_equivalent_of(f, k, cap_primes=18):
+    """`trigger.min_equivalent_size` on the level-k trigger hypergraph of
+    f, with the essential primes and τ that `cli.separation_row` gives
+    it."""
+    primes = prime_implicates(f)
+    g = trigger_hypergraph(f, k, primes=primes)
+    return min_equivalent_size(g, essential_primes(f, primes=primes),
+                               transversal_number(g), cap_primes)
 
 
 def models_by_walk(f, k, cap_models=2 ** 20):

@@ -16,16 +16,16 @@ from cnfkc.core import (BOT, TOP, apply_assignment, clause, measures,
                         variables)
 from cnfkc.hardness import hd, k_res_refutes, whd, wid
 from cnfkc.mpsdope import (dope, mps_enumerate, mps_via_doping, pure_clause)
-from cnfkc.primes import equivalent, prime_implicates
+from cnfkc.primes import prime_implicates
 from cnfkc.propagation import sat_oracle
 from cnfkc.trees import (LEAF, Inner, clauses_to_tree,
                          doped_clause_of_leafset, extremal_tree, leaf_paths,
                          pure_of_leafset, tree_stats, tree_to_clauses)
-from cnfkc.trigger import (matching_number, min_equivalent_size,
-                           sperner_witness, transversal_number,
-                           trigger_hypergraph)
+from cnfkc.trigger import (matching_number, sperner_witness,
+                           transversal_number, trigger_hypergraph)
 
 import oracles
+from references import equivalent, min_equivalent_of, smallest_hd_base
 
 
 def cs(*clauses):
@@ -242,7 +242,7 @@ def test_criterion_8_compilation_size_gap():
     d = dope(tree_to_clauses(extremal_tree(2, 2)))
     primes = prime_implicates(d.doped)
     tau = transversal_number(trigger_hypergraph(d.doped, 1, primes=primes))
-    me = min_equivalent_size(d.doped, 1, mode="exhaustive", primes=primes)
+    me = min_equivalent_of(d.doped, 1)
     check(failures, me.exact, "perfect-tree search inexact")
     check(failures, me.size >= tau.value,
           "minimum size %d below transversal %d" % (me.size, tau.value))
@@ -251,7 +251,7 @@ def test_criterion_8_compilation_size_gap():
           % (me.size, len(d.doped)))
     for h in (3, 4, 5):
         dh = build_horn_chain(h)
-        me = min_equivalent_size(dh.doped, 0)
+        me = min_equivalent_of(dh.doped, 0)
         check(failures, me.exact and me.size == 2 ** (h + 1) - 1,
               "chain h=%d width-0 minimum %d" % (h, me.size))
         check(failures, len(dh.doped) == h + 1,
@@ -306,8 +306,8 @@ def test_criterion_10_base_compilation_sanity():
         base = k_base(primes, 1)
         check(failures, base.clauses == d.doped,
               "chain h=%d base differs from the chain itself" % h)
-        exact = k_base(primes, 1, mode="exhaustive")
-        check(failures, exact.clauses == d.doped,
+        exact = smallest_hd_base(primes, 1, 18)
+        check(failures, exact == d.doped,
               "chain h=%d exhaustive minimum differs" % h)
     rng = random.Random(108)
     for _ in range(15):

@@ -201,6 +201,17 @@ def test_malformed_arguments_are_parse_errors(argv, config, tmp_path,
      "--h must be at least 0, got -2"),
     (("generate", "--family", "g_n", "--n", "-3"), None,
      "--n must be at least 0, got -3"),
+    # a negative cap would flag every answer capped, or exit 3
+    (("measure", "--cap-vars", "-1", "IN"), None,
+     "--cap-vars must be at least 0, got -1"),
+    (("primes", "--cap-vars", "-1", "IN"), None,
+     "--cap-vars must be at least 0, got -1"),
+    (("separation", "--k-range", "1", "--h-range", "2", "--cap-primes",
+      "-1"), None, "--cap-primes must be at least 0, got -1"),
+    (("measure", "IN"), "cap_vars = -3\n",
+     "config key cap_vars must be at least 0, got -3"),
+    (("separation", "--k-range", "1", "--h-range", "2"),
+     "cap_primes = -1\n", "config key cap_primes must be at least 0, got -1"),
 ])
 def test_ambiguous_or_unknown_settings_are_parse_errors(argv, config, message,
                                                         tmp_path, capsys):
@@ -453,8 +464,8 @@ def test_separation_row_holds_min_equiv_to_a_capped_taus_lower_bound(
     # min_equiv; the chain check must compare tau's lower bound instead
     real = cnfkc.cli.transversal_number
 
-    def capped(g, cap_nodes):
-        tau = real(g, cap_nodes=cap_nodes)
+    def capped(g):
+        tau = real(g)
         return dataclasses.replace(tau, value=tau.value + 2, exact=False,
                                    upper_bound=tau.value + 2)
 

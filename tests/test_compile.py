@@ -12,14 +12,14 @@ from cnfkc.core import (TOP, apply_assignment, clause, falsify, pack,
 from cnfkc.errors import CapExceededError, IntegrityError, ParseError
 from cnfkc.hardness import derives, hd, k_res_packed, whd
 from cnfkc.mpsdope import dope
-from cnfkc.primes import (equivalent, essential_primes, implies,
-                          prime_implicates)
+from cnfkc.primes import essential_primes, implies, prime_implicates
 from cnfkc.trees import extremal_tree, tree_to_clauses
 
 import oracles
 from oracles import check_query_against_oracle
 import pytest
 import references
+from references import equivalent, min_equivalent_of, smallest_hd_base
 from strategies import clause_lists, short_clause_lists
 
 
@@ -34,8 +34,7 @@ def test_k_base_horn_chain_is_itself():
         primes = prime_implicates(f)
         base = k_base(primes, 1)
         assert base.clauses == f
-        exact = k_base(primes, 1, mode="exhaustive")
-        assert exact.clauses == f
+        assert smallest_hd_base(primes, 1, 18) == f
 
 
 def test_k_base_invariants_on_corpus():
@@ -70,10 +69,10 @@ def test_k_base_matches_exhaustive_small():
         if len(primes) > 10:
             continue
         loose = k_base(primes, 1)
-        exact = k_base(primes, 1, mode="exhaustive")
-        assert len(exact.clauses) <= len(loose.clauses)
-        assert equivalent(exact.clauses, f)
-        assert hd(exact.clauses) <= 1
+        exact = smallest_hd_base(primes, 1, 18)
+        assert len(exact) <= len(loose.clauses)
+        assert equivalent(exact, f)
+        assert hd(exact) <= 1
 
 
 def test_k_base_doped_tree_respects_transversal():
@@ -101,8 +100,7 @@ def test_model_enumeration_dead_end_is_an_integrity_error(monkeypatch):
 def test_k_base_cap():
     d = dope(tree_to_clauses(extremal_tree(2, 3)))
     primes = prime_implicates(d.doped)
-    with pytest.raises(CapExceededError):
-        k_base(primes, 1, mode="exhaustive", cap_primes=18)
+    assert smallest_hd_base(primes, 1, 18) is None
 
 
 def test_k_base_exhaustive_cap_spares_a_good_essential_core():
@@ -110,11 +108,9 @@ def test_k_base_exhaustive_cap_spares_a_good_essential_core():
     f = build_horn_chain(3).doped
     # the chain's essential primes are the chain, which is within hd 1,
     # so the search answers before its cap is consulted
-    assert k_base(prime_implicates(f), 1, mode="exhaustive",
-                  cap_primes=0).clauses == f
+    assert smallest_hd_base(prime_implicates(f), 1, 0) == f
     d = build_extremal_doped(1, 2)[1]
-    with pytest.raises(CapExceededError):
-        k_base(prime_implicates(d.doped), 1, mode="exhaustive", cap_primes=0)
+    assert smallest_hd_base(prime_implicates(d.doped), 1, 0) is None
 
 
 def test_smallest_base_rejecting_everything_is_an_integrity_error():
@@ -127,11 +123,11 @@ def test_smallest_base_rejecting_everything_is_an_integrity_error():
 @settings(max_examples=60, deadline=None)
 @given(short_clause_lists())
 def test_exact_searches_match_the_brute_force_reference(clauses):
-    """Exhaustive `k_base` and `min_equivalent_size` find what a scan of
-    every prime subset by size finds, checked by truth tables and the
-    definitions of hd and whd; under a cap that stops them, `k_base`
-    raises and `min_equivalent_size` flags a floor no larger than it."""
-    from cnfkc.trigger import min_equivalent_size
+    """`smallest_base` under hardness k and `min_equivalent_size` find
+    what a scan of every prime subset by size finds, checked by truth
+    tables and the definitions of hd and whd; under a cap that stops
+    them, the first returns None and the second flags a floor no larger
+    than it."""
     f = frozenset(clauses)
     primes = prime_implicates(f)
     assume(1 < len(primes) <= 10)
@@ -140,21 +136,16 @@ def test_exact_searches_match_the_brute_force_reference(clauses):
     for k in range(3):
         want = references.smallest_equivalent_subset(
             primes, lambda sub: hd_of(sub) <= k)
-        assert k_base(primes, k, mode="exhaustive",
-                      cap_primes=len(primes)).clauses == want
-        try:
-            capped = k_base(primes, k, mode="exhaustive", cap_primes=0)
-        except CapExceededError:
-            pass
-        else:
-            assert capped.clauses == want
+        assert smallest_hd_base(primes, k, len(primes)) == want
+        capped = smallest_hd_base(primes, k, 0)
+        if capped is not None:
+            assert capped == want
         want = references.smallest_equivalent_subset(
             primes, lambda sub: whd_of(sub) <= k)
-        got = min_equivalent_size(f, k, cap_primes=len(primes),
-                                  primes=primes)
+        got = min_equivalent_of(f, k, cap_primes=len(primes))
         assert got.exact and got.representative == want
         assert got.size == got.lower_bound == len(want)
-        capped = min_equivalent_size(f, k, cap_primes=0, primes=primes)
+        capped = min_equivalent_of(f, k, cap_primes=0)
         if capped.exact:
             assert capped == got
         else:

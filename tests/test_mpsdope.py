@@ -1,9 +1,9 @@
 import random
 
-from cnfkc.core import BOT, clause, variables
+from cnfkc.core import BOT, clause, pack, pack_set, variables
 from cnfkc.errors import CapExceededError
 from cnfkc.hardness import hd
-from cnfkc.mpsdope import (classify_mu, dope, is_mps, mps_enumerate,
+from cnfkc.mpsdope import (classify_mu, dope, is_mps_packed, mps_enumerate,
                            mps_via_doping, pure_clause, undope_prime)
 from cnfkc.primes import implies, prime_implicates
 from cnfkc.trees import tree_to_clauses
@@ -35,12 +35,12 @@ def test_classify_mu_examples():
 
 
 def test_is_mps_examples():
-    assert not is_mps(cs([1], [2]))[0]
-    assert not is_mps(cs([-1, 2], [-2, 3], [-3, 1]))[0]
-    ok, pure = is_mps(cs([1, 2], [-1, 2], [-2]))
-    assert ok and pure == BOT
-    ok, pure = is_mps(cs([1, 2], [-1, 2]))
-    assert ok and pure == clause([2])
+    assert not is_mps_packed(pack_set(cs([1], [2])))[0]
+    assert not is_mps_packed(pack_set(cs([-1, 2], [-2, 3], [-3, 1])))[0]
+    ok, pure = is_mps_packed(pack_set(cs([1, 2], [-1, 2], [-2])))
+    assert ok and pure == pack(BOT)
+    ok, pure = is_mps_packed(pack_set(cs([1, 2], [-1, 2])))
+    assert ok and pure == pack(clause([2]))
 
 
 def test_mps_enumerate_gn_count():

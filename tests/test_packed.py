@@ -9,12 +9,12 @@ import cnfkc.propagation
 from cnfkc.core import (BOT, TOP, SubsumptionIndex, _mask_key,
                         apply_assignment, bit_literal, bits, clause,
                         clause_key, falsify, flip, instantiate, literal_bit,
-                        pack, pack_set, resolvable, resolve, sorted_clauses,
+                        pack, pack_set, resolve, sorted_clauses,
                         sorted_masks, union, unpack, unpack_set)
 from cnfkc.errors import CapExceededError, IntegrityError
 from cnfkc.hardness import (_least_level, hd, hd_at_most, k_res_packed,
                             k_res_refutes, width_refutes)
-from cnfkc.mpsdope import (classify_mu, is_mps, mps_enumerate,
+from cnfkc.mpsdope import (classify_mu, is_mps_packed, mps_enumerate,
                            mps_via_doping, pure_clause)
 from cnfkc.primes import implies, prime_implicates
 from cnfkc.propagation import (propagate, propagate_packed, sat_oracle,
@@ -104,7 +104,7 @@ def _check_trace(f, k, trace):
     for c, a, b in trace:
         assert a in known and b in known
         assert min(len(a), len(b)) <= k
-        assert resolvable(a, b) and resolve(a, b) == c
+        assert oracles.resolvable(a, b) and resolve(a, b) == c
         known.add(c)
     assert trace[-1][0] == BOT
 
@@ -216,7 +216,13 @@ def test_least_level_raises_past_saturation():
 def test_mu_classification_matches_the_frozenset_references(clauses):
     f = frozenset(clauses)
     assert classify_mu(f) == references.classify_mu_frozenset(f)
-    assert is_mps(f) == references.is_mps_frozenset(f)
+    assert _is_mps(f) == references.is_mps_frozenset(f)
+
+
+def _is_mps(f):
+    """`is_mps_packed` on the clause-set f, its pure clause unpacked."""
+    flag, pure = is_mps_packed(pack_set(f))
+    return flag, unpack(pure)
 
 
 def _check_levels_and_dpll(f):
@@ -292,19 +298,21 @@ def _mu_core(f):
 @settings(max_examples=100, deadline=None)
 @given(short_clause_lists() | unsat_3cnf())
 def test_is_mps_tests_only_minimal_unsatisfiability(clauses):
-    """`is_mps` is contraction-freeness plus `classify_mu(...).mu` of the
-    images, and agrees with the frozenset reference; on unsatisfiable
-    input, also on a minimally unsatisfiable core, which is a member."""
+    """`is_mps_packed` is contraction-freeness plus `classify_mu(...).mu`
+    of the images, and agrees with the frozenset reference; on
+    unsatisfiable input, also on a minimally unsatisfiable core, which is
+    a member."""
     f = frozenset(clauses)
     subsets = [f]
     if not sat_oracle(f)[0]:
         subsets.append(_mu_core(f))
-        assert is_mps(subsets[-1]) == (True, BOT)
+        assert _is_mps(subsets[-1]) == (True, BOT)
     for sub in subsets:
         pure = pure_clause(sub)
         images = frozenset(c - pure for c in sub)
         want = len(images) == len(sub) and classify_mu(images).mu
-        assert is_mps(sub) == (want, pure) == references.is_mps_frozenset(sub)
+        assert (_is_mps(sub) == (want, pure)
+                == references.is_mps_frozenset(sub))
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 
 from cnfkc.core import BOT, clause, subsumption_eliminate
 from cnfkc.errors import CapExceededError
-from cnfkc.primes import (equivalent, essential_primes, implies,
-                          prime_implicates)
+from cnfkc.primes import essential_primes, implies, prime_implicates
 
 import oracles
+from references import equivalent
 from oracles import prime_implicates_bruteforce
 from strategies import clause_list_examples, clause_lists, short_clause_lists
 
@@ -101,6 +101,20 @@ def test_doped_tree_k1_h4_has_one_prime_per_leafset():
     assert primes == {doped_clause_of_leafset(t, d, combo)
                       for r in range(1, len(addrs) + 1)
                       for combo in itertools.combinations(addrs, r)}
+
+
+def test_closure_cap_bounds_the_working_set():
+    # the working set of the doped (k=1, h=3) tree peaks at its 127
+    # primes, after the last variable: a cap of 127 answers, and any
+    # smaller cap stops the closure
+    from cnfkc.cli import build_extremal_doped
+    _, d = build_extremal_doped(1, 3)
+    primes = prime_implicates(d.doped, cap_clauses=127)
+    assert len(primes) == 127 and primes == prime_implicates(d.doped)
+    for cap in (8, 126):
+        with pytest.raises(CapExceededError,
+                           match="closure exceeded %d clauses" % cap):
+            prime_implicates(d.doped, cap_clauses=cap)
 
 
 def test_antichain_and_minimality():

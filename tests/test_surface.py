@@ -18,11 +18,8 @@ SRC = os.path.dirname(os.path.abspath(cnfkc.__file__))
 
 # name -> why it stays although no library code reaches it
 ALLOWED = {
-    "resolvable": "tests/oracles.py builds resolution refutations on it",
     "hardness_report": "golden-pinned: its critical primes are in golden/",
     "report_to_json": "golden-pinned: renders hardness_report in golden/",
-    "equivalent": "the tests' reference for logical equivalence",
-    "is_mps": "the frozenset wrapper of is_mps_packed",
     "pure_of_leafset": "the pure clause of a leaf set, checked against the "
                        "paper's example; doped_clause_of_leafset shares "
                        "its helper",

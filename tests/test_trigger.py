@@ -7,16 +7,17 @@ from cnfkc.core import clause, sorted_clauses
 from cnfkc.errors import CapExceededError, ParseError
 from cnfkc.hardness import whd
 from cnfkc.mpsdope import dope
-from cnfkc.primes import equivalent, prime_implicates
+from cnfkc.primes import prime_implicates
 from cnfkc.trees import (LEAF, Inner, doped_clause_of_leafset, extremal_tree,
                          leaf_paths, tree_to_clauses)
 from cnfkc.trigger import (TriggerHypergraph, extremal_sperner_bound,
                            hypergraph_to_json, matching_number,
-                           min_equivalent_size, sperner_witness,
-                           transversal_number, trigger_hypergraph)
+                           sperner_witness, transversal_number,
+                           trigger_hypergraph)
 
 import oracles
 import pytest
+from references import equivalent, greedy_whd_base, min_equivalent_of
 
 
 def cs(*clauses):
@@ -292,7 +293,7 @@ def test_min_equivalent_level0_is_prime_count():
     for _ in range(15):
         f = oracles.random_clause_set(rng, max_n=4, max_c=4)
         primes = prime_implicates(f)
-        r = min_equivalent_size(f, 0)
+        r = min_equivalent_of(f, 0)
         assert r.exact and r.size == len(primes)
         assert r.representative == primes
 
@@ -301,7 +302,7 @@ def test_min_equivalent_doped_horn_chain():
     from cnfkc.cli import build_horn_chain
     for h in (2, 3):
         d = build_horn_chain(h)
-        r = min_equivalent_size(d.doped, 0)
+        r = min_equivalent_of(d.doped, 0)
         assert r.exact and r.size == 2 ** (h + 1) - 1
 
 
@@ -310,7 +311,7 @@ def test_min_equivalent_exhaustive_perfect_tree():
     d = dope(tree_to_clauses(t))
     g = trigger_hypergraph(d.doped, 1)
     tau = transversal_number(g)
-    r = min_equivalent_size(d.doped, 1)
+    r = min_equivalent_of(d.doped, 1)
     assert r.exact
     assert r.size >= tau.value
     assert r.size == 5 and tau.value == 4
@@ -323,12 +324,11 @@ def test_min_equivalent_exhaustive_perfect_tree():
 def test_min_equivalent_heuristic_is_upper_bound():
     t = extremal_tree(2, 2)
     d = dope(tree_to_clauses(t))
-    exact = min_equivalent_size(d.doped, 1)
-    loose = min_equivalent_size(d.doped, 1, mode="heuristic")
-    assert not loose.exact
-    assert loose.size >= exact.size
-    assert equivalent(loose.representative, d.doped)
-    assert whd(loose.representative) <= 1
+    exact = min_equivalent_of(d.doped, 1)
+    loose = greedy_whd_base(d.doped, 1)
+    assert len(loose) >= exact.size
+    assert equivalent(loose, d.doped)
+    assert whd(loose) <= 1
     # one greedy sweep suffices: no single removal keeps both
     # equivalence and asymmetric width <= k
     cases = [(d.doped, 1)]
@@ -337,7 +337,7 @@ def test_min_equivalent_heuristic_is_upper_bound():
         f = oracles.random_clause_set(rng, max_n=4, max_c=5)
         cases += [(f, 1), (f, 2)]
     for f, k in cases:
-        rep = min_equivalent_size(f, k, mode="heuristic").representative
+        rep = greedy_whd_base(f, k)
         assert equivalent(rep, f) and whd(rep) <= k
         for c in rep:
             trial = rep - {c}
@@ -349,7 +349,7 @@ def test_min_equivalent_cap():
     # floor comes back flagged inexact, with no representative
     t = extremal_tree(2, 3)
     d = dope(tree_to_clauses(t))
-    r = min_equivalent_size(d.doped, 1, cap_primes=18)
+    r = min_equivalent_of(d.doped, 1, cap_primes=18)
     assert not r.exact
     assert r.size == r.lower_bound == 11
     assert r.representative == frozenset()
@@ -359,7 +359,7 @@ def test_min_equivalent_returns_a_good_essential_core_past_the_cap():
     from cnfkc.cli import build_horn_chain
     f = build_horn_chain(3).doped
     primes = prime_implicates(f)
-    r = min_equivalent_size(f, 1, cap_primes=0)
+    r = min_equivalent_of(f, 1, cap_primes=0)
     assert len(primes) > len(f)
     assert r.exact and r.size == r.lower_bound == len(f)
     assert r.representative == f
@@ -368,7 +368,7 @@ def test_min_equivalent_returns_a_good_essential_core_past_the_cap():
 def test_min_equivalent_forced_by_tau_ignores_the_cap():
     from cnfkc.cli import build_extremal_doped
     d = build_extremal_doped(0, 3)[1]
-    r = min_equivalent_size(d.doped, 0, cap_primes=0)
+    r = min_equivalent_of(d.doped, 0, cap_primes=0)
     assert r.exact and r.size == r.lower_bound == 15
     assert r.representative == prime_implicates(d.doped)
 
