@@ -236,8 +236,8 @@ def cmd_primes(args, cfg):
     cap_vars = _setting(args, cfg, "cap_vars", 24)
     rep = prime_report(f, cap_vars=cap_vars)
     sidecar = {
-        "count": rep.count,
-        "essential_count": rep.essential_count,
+        "count": len(rep.primes),
+        "essential_count": len(rep.essential),
         "primes": [{"clause": list(clause_key(c)),
                     "essential": c in rep.essential}
                    for c in sorted_clauses(rep.primes)],
@@ -463,7 +463,7 @@ def cmd_selftest(args, cfg):
                    st.hs == 2 and st.leaves == 4))
     d = dope(tree_to_clauses(t))
     rep = prime_report(d.doped)
-    checks.append(("doped perfect tree has 15 primes", rep.count == 15))
+    checks.append(("doped perfect tree has 15 primes", len(rep.primes) == 15))
     checks.append(("doped perfect tree hardness 2", hd(d.doped) == 2))
     g = trigger_hypergraph(d.doped, 0, primes=rep.primes)
     checks.append(("level-0 edges are singletons",

@@ -9,7 +9,7 @@ from .core import (TOP, apply_assignment, bit_literal, flip, instantiate,
                    sorted_masks, union, unpack, unpack_set, variable_bits,
                    variables)
 from .errors import CapExceededError, IntegrityError, ParseError
-from .hardness import derives, hd_at_most, k_res_packed, whd
+from .hardness import derives, hd_at_most, k_res_packed
 from .primes import entails, essential_primes
 
 
@@ -121,16 +121,13 @@ def k_base(primes, k):
 
 
 def answer_query(kind, f, k, clause=None, assignment=None, other=None,
-                 verify=False, cap_models=2 ** 20):
+                 cap_models=2 ** 20):
     """Knowledge-compilation queries answered by level-k resolution only.
 
     The caller promises that unsatisfiable instantiations of f are always
     refutable with one parent of size <= k; a violation discovered during
     model enumeration raises an integrity error naming the witness.
     """
-    if verify:
-        if whd(f) > k:
-            raise IntegrityError("input exceeds asymmetric width %d" % k)
     if kind == "CO":
         return not k_res_packed(pack_set(f), k)[0]
     if kind == "CE":

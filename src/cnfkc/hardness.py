@@ -152,37 +152,27 @@ def _propagation_refutes(cache):
     return lambda g, k: 0 in propagate_packed(g, k, cache)[0]
 
 
-def _least_level(g, refutes):
-    """The least k at which `refutes(g, k)` holds, for the unsatisfiable
-    packed g.  Level-n propagation and resolution with no bound left both
-    refute at n = n(g), so a search past n + 1 is an integrity error."""
-    for k in range(packed_variable_count(g) + 2):
-        if refutes(g, k):
-            return k
-    raise IntegrityError("unsatisfiable input not refuted at saturation")
-
-
-def _closure(f, cap_vars, primes):
+def _closure(f, primes):
     """f's prime closure: `primes` when given, else computed once the
-    DPLL finds f satisfiable, else REFUTED.  It holds BOT exactly when f
-    is unsatisfiable (see `prime_implicates`)."""
+    DPLL (at its default cap) finds f satisfiable, else REFUTED.  It
+    holds BOT exactly when f is unsatisfiable (see `prime_implicates`)."""
     if primes is not None:
         return primes
-    return prime_implicates(f) if sat_oracle(f, cap_vars)[0] else REFUTED
+    return prime_implicates(f) if sat_oracle(f)[0] else REFUTED
 
 
 def _worst_falsifier(f, primes, refutes):
     """(level, critical prime), given f's prime closure and a refutation
-    test `refutes(g, k)` on packed clause-sets, monotone in k: for
-    unsatisfiable f, the `_least_level` of f itself and no prime; else
-    the worst `_least_level` over the falsifiers of the primes, with the
-    first critical prime in canonical order (0 and none for TOP, which
-    has no primes).  As in `_phd_with_witness`, each distinct falsified
-    instance is tested at the running maximum and climbed only when that
-    fails, up to `_least_level`'s saturation bound."""
+    test `refutes(g, k)` on packed clause-sets, monotone in k: the worst
+    least refuting level over the falsified instances of the primes, with
+    the first critical prime in canonical order.  TOP has no primes and
+    gives (0, None); unsatisfiable f has the one prime BOT, whose
+    falsifier leaves f itself, and no critical prime.  As in
+    `_phd_with_witness`, each distinct instance h is tested at the
+    running maximum and climbed only when that fails.  Level-n
+    propagation and resolution with no bound left both refute at
+    n = n(h), so a climb past n + 1 is an integrity error."""
     g = pack_set(f)
-    if BOT in primes:
-        return _least_level(g, refutes), None
     best, crit, done = 0, None, set()
     for c in sorted_clauses(primes):
         h = falsify(g, pack(c))
@@ -197,21 +187,21 @@ def _worst_falsifier(f, primes, refutes):
             k += 1
         if k > best or crit is None:
             best, crit = k, c
-    return best, crit
+    return best, crit or None
 
 
-def hd(f, cap_vars=24, primes=None):
+def hd(f, primes=None):
     """Propagation hardness.
 
     Unsatisfiable: smallest k whose propagation refutes f.  Satisfiable:
     worst case over the prime implicates c of the level needed to refute
     the instantiation by the falsifier of c.
     """
-    return _worst_falsifier(f, _closure(f, cap_vars, primes),
+    return _worst_falsifier(f, _closure(f, primes),
                             _propagation_refutes({}))[0]
 
 
-def hd_at_most(g, k, primes, cache=None, proofs=None):
+def hd_at_most(g, k, primes, proofs=None):
     """Fast check hd(g) <= k for the satisfiable packed clause-set g,
     given its packed prime implicates: does level-k propagation refute g
     under the falsifier of every prime?
@@ -225,10 +215,9 @@ def hd_at_most(g, k, primes, cache=None, proofs=None):
     (`unit_refutation`, the one level-1 path here, with or without
     `proofs`); at any other level, coarser, the clauses of g that the
     falsifier leaves."""
-    if cache is None:
-        cache = {}
     if proofs is None:
         proofs = {}
+    cache = {}
     for c in primes:
         cert = proofs.get(c)
         if cert is not None and cert <= g:
@@ -247,10 +236,9 @@ def hd_at_most(g, k, primes, cache=None, proofs=None):
     return True
 
 
-def whd(f, cap_vars=24, primes=None):
+def whd(f, primes=None):
     """Asymmetric width: one resolution parent bounded per step."""
-    return _worst_falsifier(f, _closure(f, cap_vars, primes),
-                            _k_res_refutes)[0]
+    return _worst_falsifier(f, _closure(f, primes), _k_res_refutes)[0]
 
 
 def whd_at_most(g, k, primes):
@@ -277,13 +265,12 @@ def derives(g, c, k, known):
     return hit
 
 
-def wid(f, cap_vars=24, primes=None):
+def wid(f, primes=None):
     """Symmetric width: every clause of the refutation bounded."""
-    return _worst_falsifier(f, _closure(f, cap_vars, primes),
-                            _width_refutes)[0]
+    return _worst_falsifier(f, _closure(f, primes), _width_refutes)[0]
 
 
-def phd(f, cap_vars=24, primes=None):
+def phd(f, primes=None):
     """p-hardness: smallest k where level-k propagation already computes
     the saturation-level reduction under every partial assignment; f is
     propagation-complete exactly when phd(f) <= 1.
@@ -297,7 +284,7 @@ def phd(f, cap_vars=24, primes=None):
     1999), and each falsifier of C - {x} is itself an assignment forcing
     x.
     """
-    return _phd_with_witness(f, _closure(f, cap_vars, primes), {})[0]
+    return _phd_with_witness(f, _closure(f, primes), {})[0]
 
 
 def _phd_with_witness(f, primes, cache):
@@ -308,9 +295,9 @@ def _phd_with_witness(f, primes, cache):
     level of a pair is the least one assigning x.  It is climbed only when
     level `best` does not assign x (higher levels assign a superset), so
     the maximum is unchanged."""
-    g = pack_set(f)
     if BOT in primes:
-        return _least_level(g, _propagation_refutes(cache)), {}
+        return _worst_falsifier(f, primes, _propagation_refutes(cache))[0], {}
+    g = pack_set(f)
     best = 0
     witness = {}
     for c in sorted_clauses(primes):
@@ -344,7 +331,7 @@ def hardness_report(f):
     """All four measures plus per-measure certificates: the critical
     prime implicate for the sat-case maxima, the demanding partial
     assignment for p-hardness."""
-    primes = _closure(f, 24, None)
+    primes = _closure(f, None)
     cache = {}
     witnesses = {}
     for name, refutes in (("hd", _propagation_refutes(cache)),

@@ -28,30 +28,26 @@ class MuFlags:
     smu_delta1: bool
 
 
-def classify_mu(f, cap_vars=24):
+def classify_mu(f):
     """Minimal, saturated, and deficiency-1 saturated unsatisfiability."""
-    return classify_mu_packed(pack_set(f), cap_vars)
-
-
-def classify_mu_packed(g, cap_vars=24):
-    """`classify_mu` on the packed clause-set g."""
-    if not is_mu_packed(g, cap_vars):
+    g = pack_set(f)
+    if not is_mu_packed(g):
         return MuFlags(False, False, False)
     # saturated: widening any clause by a literal of another variable
     # makes it satisfiable
     vs = variable_bits(union(g))
     smu = all(
-        sat_packed(g - {m} | {m | x}, cap_vars) is not None
+        sat_packed(g - {m} | {m | x}) is not None
         for m in g for b in bits(vs & ~(m | m >> 1)) for x in (b, b << 1))
     delta = len(g) - vs.bit_count()
     return MuFlags(mu=True, smu=smu, smu_delta1=smu and delta == 1)
 
 
-def is_mu_packed(g, cap_vars=24):
+def is_mu_packed(g):
     """Is the packed clause-set g minimally unsatisfiable: unsatisfiable,
     and satisfiable without any one of its clauses?"""
-    return (sat_packed(g, cap_vars) is None
-            and all(sat_packed(g - {m}, cap_vars) is not None for m in g))
+    return (sat_packed(g) is None
+            and all(sat_packed(g - {m}) is not None for m in g))
 
 
 def _strip_pure(g):
@@ -63,7 +59,7 @@ def _strip_pure(g):
     return pure, frozenset(m & ~pure for m in g)
 
 
-def is_mps_packed(g, cap_vars=24):
+def is_mps_packed(g):
     """Are the distinct packed clauses g a minimal premise set (of their
     pure clause)?
 
@@ -75,7 +71,7 @@ def is_mps_packed(g, cap_vars=24):
     Only minimal unsatisfiability is tested, not saturation.
     """
     pure, images = _strip_pure(g)
-    return len(images) == len(g) and is_mu_packed(images, cap_vars), pure
+    return len(images) == len(g) and is_mu_packed(images), pure
 
 
 @dataclass(frozen=True)
@@ -83,17 +79,17 @@ class MpsFamily:
     members: dict  # clause-set -> its pure clause
 
 
-def mps_enumerate(f, cap_clauses=16, cap_vars=24):
+def mps_enumerate(f):
     """All minimal premise subsets of f, by direct subset scan over the
-    clauses packed once."""
-    if len(f) > cap_clauses:
+    clauses packed once, for at most 16 clauses."""
+    if len(f) > 16:
         raise CapExceededError(
-            "minimal premise enumeration capped at %d clauses" % cap_clauses)
+            "minimal premise enumeration capped at 16 clauses")
     clause_of = {pack(c): c for c in sorted_clauses(f)}
     members = {}
     for size in range(1, len(f) + 1):
         for combo in itertools.combinations(clause_of, size):
-            flag, pure = is_mps_packed(combo, cap_vars)
+            flag, pure = is_mps_packed(combo)
             if flag:
                 members[frozenset(map(clause_of.get, combo))] = unpack(pure)
     return MpsFamily(members=members)
@@ -127,12 +123,12 @@ def undope_prime(prime, doping_map):
     return member, pure
 
 
-def mps_via_doping(f, cap_vars=24):
-    """Minimal premise sets of f read off the doped prime implicates."""
+def mps_via_doping(f):
+    """Minimal premise sets of f read off the doped prime implicates, for
+    at most 24 doped variables."""
     d = dope(f)
-    if len(variables(d.doped)) > cap_vars:
-        raise CapExceededError(
-            "doped prime route capped at %d variables" % cap_vars)
+    if len(variables(d.doped)) > 24:
+        raise CapExceededError("doped prime route capped at 24 variables")
     members = {}
     for prime in prime_implicates(d.doped):
         member, pure = undope_prime(prime, d.doping_map)

@@ -86,12 +86,9 @@ def essential_primes(f, cap_vars=24, primes=None):
 class PrimeReport:
     primes: frozenset
     essential: frozenset
-    count: int
-    essential_count: int
 
 
 def prime_report(f, cap_vars=24):
     primes = prime_implicates(f)
     ess = essential_primes(f, cap_vars=cap_vars, primes=primes)
-    return PrimeReport(primes=primes, essential=ess,
-                       count=len(primes), essential_count=len(ess))
+    return PrimeReport(primes=primes, essential=ess)

@@ -6,15 +6,13 @@ intermediate result.  A criterion prints exactly one PASS/FAIL line;
 details of any failure follow on extra lines before the assert fires.
 """
 
-import itertools
 import math
 import random
 
 from cnfkc.cli import build_g_n, build_horn_chain, separation_row
 from cnfkc.compile import answer_query, k_base
-from cnfkc.core import (BOT, TOP, apply_assignment, clause, measures,
-                        variables)
-from cnfkc.hardness import hd, k_res_refutes, whd, wid
+from cnfkc.core import BOT, apply_assignment, clause, variables
+from cnfkc.hardness import hd, whd, wid
 from cnfkc.mpsdope import (dope, mps_enumerate, mps_via_doping, pure_clause)
 from cnfkc.primes import prime_implicates
 from cnfkc.propagation import sat_oracle
@@ -165,7 +163,8 @@ def test_criterion_5_hardness_equals_branching_number():
              for k in (0, 1, 2) for h in range(k + 1, 6)]
     for t in pool:
         st = tree_stats(t)
-        got = hd(tree_to_clauses(t), cap_vars=64)
+        f = tree_to_clauses(t)
+        got = hd(f, primes=prime_implicates(f))
         check(failures, got == st.hs,
               "tree hardness %d vs branching number %d (%d leaves)"
               % (got, st.hs, st.leaves))

@@ -244,6 +244,29 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("units, route, message", [
+    (17, (), "minimal premise enumeration capped at 16 clauses"),
+    (13, ("--route", "doping"), "doped prime route capped at 24 variables"),
+])
+def test_mps_caps_exit_code_and_message(tmp_path, capsys, units, route,
+                                        message):
+    # 17 clauses is one past the subset scan's cap; 13 doped units hold
+    # 26 variables, two past the doped route's
+    path = tmp_path / "units.cnf"
+    path.write_text(emit_dimacs(frozenset(clause([v])
+                                          for v in range(1, units + 1))))
+    code = main(["mps", str(path), *route])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+def test_mps_doping_route_at_its_cap(tmp_path, capsys):
+    path = tmp_path / "units.cnf"
+    path.write_text(emit_dimacs(frozenset(clause([v]) for v in range(1, 13))))
+    code, out = run(capsys, "mps", str(path), "--route", "doping")
+    assert code == 0 and json.loads(out)["count"] == 12
+
+
 def test_kbase_beyond_oracle_cap_exit_code(tmp_path, capsys):
     # deciding whether a unit prime is essential leaves the other 25
     # variables to the SAT oracle, one above its cap

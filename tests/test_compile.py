@@ -12,7 +12,7 @@ from cnfkc.core import (TOP, apply_assignment, clause, falsify, pack,
 from cnfkc.errors import CapExceededError, IntegrityError, ParseError
 from cnfkc.hardness import derives, hd, k_res_packed, whd
 from cnfkc.mpsdope import dope
-from cnfkc.primes import essential_primes, implies, prime_implicates
+from cnfkc.primes import essential_primes, prime_implicates
 from cnfkc.trees import extremal_tree, tree_to_clauses
 
 import oracles
@@ -20,7 +20,7 @@ from oracles import check_query_against_oracle
 import pytest
 import references
 from references import equivalent, min_equivalent_of, smallest_hd_base
-from strategies import clause_lists, short_clause_lists
+from strategies import short_clause_lists
 
 
 def cs(*clauses):
@@ -258,8 +258,7 @@ def test_k_base_certificates_cut_the_level_one_refutations(monkeypatch):
     calls.clear()
     monkeypatch.setattr(
         cnfkc.compile, "hd_at_most",
-        lambda g, k, primes, cache=None, proofs=None:
-        real_hd_at_most(g, k, primes, cache))
+        lambda g, k, primes, proofs=None: real_hd_at_most(g, k, primes))
     assert k_base(primes, 1) == with_proofs
     assert 3 * reused <= len(calls)
 
@@ -472,13 +471,6 @@ def test_me_integrity_error_names_witness():
     assert info.value.witness == {1: 0}
     with pytest.raises(IntegrityError):
         answer_query("MC", f, 0)
-
-
-def test_verify_flag_rejects_too_hard_input():
-    f = cs([1, 2], [1, -2], [-1, 2], [-1, -2])
-    with pytest.raises(IntegrityError):
-        answer_query("CO", f, 0, verify=True)
-    assert not answer_query("CO", f, 2, verify=True)
 
 
 def test_me_cap():

@@ -12,13 +12,13 @@ from cnfkc.core import (BOT, TOP, SubsumptionIndex, _mask_key,
                         pack, pack_set, resolve, sorted_clauses,
                         sorted_masks, union, unpack, unpack_set)
 from cnfkc.errors import CapExceededError, IntegrityError
-from cnfkc.hardness import (_least_level, hd, hd_at_most, k_res_packed,
+from cnfkc.hardness import (_worst_falsifier, hd, hd_at_most, k_res_packed,
                             k_res_refutes, width_refutes)
 from cnfkc.mpsdope import (classify_mu, is_mps_packed, mps_enumerate,
                            mps_via_doping, pure_clause)
 from cnfkc.primes import implies, prime_implicates
-from cnfkc.propagation import (propagate, propagate_packed, sat_oracle,
-                               unit_refutation)
+from cnfkc.propagation import (REFUTED, propagate, propagate_packed,
+                               sat_oracle, unit_refutation)
 from cnfkc.trigger import trigger_hypergraph
 
 import oracles
@@ -193,7 +193,7 @@ def test_level_one_scan_answers_as_the_given_clause_loop(clauses):
 
 
 def test_least_level_raises_past_saturation():
-    g = pack_set(frozenset([clause([1]), clause([-1])]))
+    f = frozenset([clause([1]), clause([-1])])
     asked = []
 
     def never(h, k):
@@ -201,8 +201,8 @@ def test_least_level_raises_past_saturation():
         return False
 
     with pytest.raises(IntegrityError, match="not refuted at saturation"):
-        _least_level(g, never)
-    assert asked == [0, 1, 2]  # n(g) = 1, so levels 0 to n(g) + 1
+        _worst_falsifier(f, REFUTED, never)
+    assert asked == [0, 1, 2]  # n(f) = 1, so levels 0 to n(f) + 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,8 +335,8 @@ def test_a_cache_shared_by_two_clause_sets_keeps_them_apart():
     assert second == propagate(g, 2)
     assert propagate(f, 2, cache=cache) == first
     primes = pack_set(prime_implicates(g))
-    assert hd_at_most(pack_set(g), 1, primes, cache=cache)
-    assert not hd_at_most(pack_set(g), 0, primes, cache=cache)
+    assert hd_at_most(pack_set(g), 1, primes)
+    assert not hd_at_most(pack_set(g), 0, primes)
     assert hd(g) == 1
 
 

@@ -9,9 +9,9 @@ from cnfkc.errors import IntegrityError, ParseError
 from cnfkc.hardness import hd
 from cnfkc.mpsdope import dope
 from cnfkc.trees import (LEAF, Inner, clauses_to_tree, depth_subtrees,
-                         doped_clause_of_leafset, extremal_tree, is_leaf,
-                         leaf_paths, pure_of_leafset, tree_stats,
-                         tree_to_clauses, tree_to_term)
+                         doped_clause_of_leafset, extremal_tree, leaf_paths,
+                         pure_of_leafset, tree_stats, tree_to_clauses,
+                         tree_to_term)
 
 import oracles
 import pytest

@@ -3,13 +3,13 @@ from math import comb
 
 from hypothesis import example, given, settings, strategies as st
 
-from cnfkc.core import clause, sorted_clauses
-from cnfkc.errors import CapExceededError, ParseError
+from cnfkc.core import clause
+from cnfkc.errors import ParseError
 from cnfkc.hardness import whd
 from cnfkc.mpsdope import dope
 from cnfkc.primes import prime_implicates
-from cnfkc.trees import (LEAF, Inner, doped_clause_of_leafset, extremal_tree,
-                         leaf_paths, tree_to_clauses)
+from cnfkc.trees import (doped_clause_of_leafset, extremal_tree, leaf_paths,
+                         tree_to_clauses)
 from cnfkc.trigger import (TriggerHypergraph, extremal_sperner_bound,
                            hypergraph_to_json, matching_number,
                            sperner_witness, transversal_number,
