@@ -10,13 +10,14 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import compile as kc
-from .core import (clause, clause_key, emit_dimacs, measures,
-                   parse_dimacs_document, sorted_clauses)
+from .core import (clause, clause_key, emit_dimacs, measures, pack,
+                   parse_dimacs_document, sorted_clauses, unpack,
+                   unpack_set)
 from .errors import CapExceededError, CnfError, IntegrityError, ParseError
 from .hardness import hd, phd, whd, wid
 from .mpsdope import dope, mps_enumerate, mps_via_doping, pure_clause
 from .primes import prime_implicates, prime_report
-from .propagation import REFUTED, sat_oracle
+from .propagation import sat_oracle
 from .trees import (doped_clause_of_leafset, extremal_tree, tree_stats,
                     tree_to_clauses, tree_to_term)
 from .trigger import (extremal_sperner_bound, hypergraph_to_json,
@@ -163,7 +164,7 @@ def _doping_map_json(d):
 
 
 def cmd_generate(args, cfg):
-    _at_least_zero(args, "n", "h")
+    _at_least_zero(args, "n", "h", "k")
     family = args.family
     meta = {"family": family}
     if family == "extremal_doped":
@@ -202,8 +203,8 @@ def cmd_measure(args, cfg):
                     "phd", "primes", "mps"])
     cap_vars = _setting(args, cfg, "cap_vars", 24)
     # one closure for hd, whd, wid, phd and primes, computed on first use;
-    # hd, whd, wid and phd need none for unsatisfiable f, whose closure
-    # is REFUTED
+    # hd, whd, wid and phd need none for unsatisfiable f, whose prime
+    # table is (0,)
     closure = functools.cache(lambda: prime_implicates(f))
     satisfiable = functools.cache(lambda: sat_oracle(f, cap_vars)[0])
     report = {}
@@ -216,7 +217,7 @@ def cmd_measure(args, cfg):
                 report[name] = base[name]
             elif name in worst_case:
                 report[name] = worst_case[name](
-                    f, primes=closure() if satisfiable() else REFUTED)
+                    f, primes=closure() if satisfiable() else (0,))
             elif name == "primes":
                 report[name] = len(closure())
             elif name == "mps":
@@ -238,11 +239,11 @@ def cmd_primes(args, cfg):
     sidecar = {
         "count": len(rep.primes),
         "essential_count": len(rep.essential),
-        "primes": [{"clause": list(clause_key(c)),
+        "primes": [{"clause": list(clause_key(unpack(c))),
                     "essential": c in rep.essential}
-                   for c in sorted_clauses(rep.primes)],
+                   for c in rep.primes],
     }
-    text = emit_dimacs(rep.primes, comments=["prime implicates"])
+    text = emit_dimacs(unpack_set(rep.primes), comments=["prime implicates"])
     _emit(args, text)
     _emit_sidecar(args, sidecar)
     return 0
@@ -281,7 +282,7 @@ def cmd_dope(args, cfg):
 def cmd_trigger(args, cfg):
     _at_least_zero(args, "k")
     f = _read_clause_set(args.input)
-    g = trigger_hypergraph(f, args.k)
+    g = trigger_hypergraph(prime_implicates(f), args.k)
     tau = transversal_number(g)
     nu = matching_number(g)
     if nu.value > tau.value and nu.exact and tau.exact:
@@ -365,16 +366,15 @@ def separation_row(k, h, cap_primes=18):
             "hardness %d at (k=%d,h=%d), expected %d"
             % (row_hd, k, h, k + 1))
     row_whd = whd(f, primes=primes)
-    g = trigger_hypergraph(f, k, primes=primes)
+    g = trigger_hypergraph(primes, k)
     tau = transversal_number(g)
     nu = matching_number(g)
     bound = extremal_sperner_bound(t, k)
     witness = sperner_witness(t, k)
-    vertex_index = {c: i for i, c in enumerate(g.vertices)}
     edges = []
     for leafset in witness:
         cv = doped_clause_of_leafset(t, d, sorted(leafset))
-        edges.append(g.edges[vertex_index[cv]])
+        edges.append(g.edges[g.vertices.index(pack(cv))])
     for i in range(len(edges)):
         for j in range(i):
             if edges[i] & edges[j]:
@@ -425,6 +425,8 @@ def cmd_separation(args, cfg):
         raise ParseError("format must be one of %s, got %r"
                          % (", ".join(_FORMATS), fmt))
     ks, hs = _parse_range(args.k_range), _parse_range(args.h_range)
+    if ks[0] < 0:
+        raise ParseError("--k-range must be at least 0, got %d" % ks[0])
     pairs = [(k, h) for k in ks for h in hs if h >= k + 1]
     if not pairs:
         raise ParseError("no (k, h) pair of the ranges has h >= k + 1")
@@ -464,8 +466,9 @@ def cmd_selftest(args, cfg):
     d = dope(tree_to_clauses(t))
     rep = prime_report(d.doped)
     checks.append(("doped perfect tree has 15 primes", len(rep.primes) == 15))
-    checks.append(("doped perfect tree hardness 2", hd(d.doped) == 2))
-    g = trigger_hypergraph(d.doped, 0, primes=rep.primes)
+    checks.append(("doped perfect tree hardness 2",
+                   hd(d.doped, primes=rep.primes) == 2))
+    g = trigger_hypergraph(rep.primes, 0)
     checks.append(("level-0 edges are singletons",
                    all(len(e) == 1 for e in g.edges)))
     ok = True

@@ -5,9 +5,8 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (TOP, apply_assignment, bit_literal, flip, instantiate,
-                   literal_bit, pack, pack_set, packed_variable_count,
-                   sorted_masks, union, unpack, unpack_set, variable_bits,
-                   variables)
+                   literal_bit, pack, pack_set, packed_variable_count, union,
+                   unpack, unpack_set, variable_bits, variables)
 from .errors import CapExceededError, IntegrityError, ParseError
 from .hardness import derives, hd_at_most, k_res_packed
 from .primes import entails, essential_primes
@@ -100,7 +99,7 @@ def smallest_base(order, ess, good, floor, cap_primes):
 
 
 def k_base(primes, k):
-    """Equivalent subset of the primes with propagation hardness <= k.
+    """Equivalent subset of the prime table with propagation hardness <= k.
 
     Seed with the essential primes, add the rest by ascending size until
     the subset is equivalent and within hardness k, then sweep removals
@@ -109,12 +108,10 @@ def k_base(primes, k):
     of refutation certificates, so a prime is refuted again only when a
     clause of its last proof has gone.
     """
-    primes = frozenset(primes)
-    g = pack_set(primes)
-    ess = pack_set(essential_primes(primes, primes=primes))
     proofs = {}  # one set of refutation certificates for the whole run
     base, added, removed = greedy_base(
-        sorted_masks(g), ess, lambda sub: hd_at_most(sub, k, g, proofs=proofs))
+        primes, essential_primes(primes),
+        lambda sub: hd_at_most(sub, k, primes, proofs=proofs))
     return KBase(clauses=unpack_set(base), level=k,
                  added=tuple(map(unpack, added)),
                  removed=tuple(map(unpack, removed)))
@@ -164,9 +161,9 @@ def enumerate_models(f, k, cap_models=2 ** 20):
     vs = sorted(variables(f))
     g = pack_set(f)
     memo = {}
-    _models(vs, 0, 0, g, k, memo, 0, cap_models)
+    _walk(_models, vs, 0, 0, g, k, memo, 0, cap_models)
     out = []
-    for true, depth in _cubes(vs, 0, 0, g, memo):
+    for true, depth in _walk(list, _cubes(vs, 0, 0, g, memo)):
         phi, rest = _assignment(vs[:depth], true), vs[depth:]
         for bits in itertools.product((0, 1), repeat=len(rest)):
             model = dict(phi)
@@ -178,8 +175,18 @@ def enumerate_models(f, k, cap_models=2 ** 20):
 def count_models(f, k, cap_models=2 ** 20):
     """len(enumerate_models(f, k, cap_models)), with the same errors,
     from `_models` alone."""
-    return _models(sorted(variables(f)), 0, 0, pack_set(f), k, {}, 0,
-                   cap_models)
+    return _walk(_models, sorted(variables(f)), 0, 0, pack_set(f), k, {},
+                 0, cap_models)
+
+
+def _walk(run, *args):
+    """run(*args), where `_models` and `_cubes` recurse once per split:
+    Python's recursion limit is a cap error, not a traceback."""
+    try:
+        return run(*args)
+    except RecursionError:
+        raise CapExceededError(
+            "model search exceeded Python's recursion limit") from None
 
 
 def _models(vs, i, true, g, k, memo, before, cap_models):

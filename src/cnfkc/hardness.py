@@ -6,14 +6,13 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import (BOT, SubsumptionIndex, bit_literal, bits,
-                   clause_falsifier, clause_key, falsify, flip, instantiate,
-                   pack, pack_set, packed_variable_count, sorted_clauses,
-                   union, unpack)
+from .core import (SubsumptionIndex, bit_literal, bits, clause_falsifier,
+                   clause_key, falsify, flip, instantiate, pack_set,
+                   packed_variable_count, union, unpack)
 from .errors import CapExceededError, IntegrityError, ParseError
 from .primes import prime_implicates
-from .propagation import (REFUTED, _unit_scan, propagate_packed,
-                          sat_oracle, unit_refutation)
+from .propagation import (_unit_scan, propagate_packed, sat_oracle,
+                          unit_refutation)
 
 
 def k_res_refutes(f, k, cap_clauses=200000, want_trace=False):
@@ -153,29 +152,29 @@ def _propagation_refutes(cache):
 
 
 def _closure(f, primes):
-    """f's prime closure: `primes` when given, else computed once the
-    DPLL (at its default cap) finds f satisfiable, else REFUTED.  It
-    holds BOT exactly when f is unsatisfiable (see `prime_implicates`)."""
+    """f's prime table: `primes` when given, else computed once the
+    DPLL (at its default cap) finds f satisfiable, else (0,), the table
+    of every unsatisfiable input (see `prime_implicates`)."""
     if primes is not None:
         return primes
-    return prime_implicates(f) if sat_oracle(f)[0] else REFUTED
+    return prime_implicates(f) if sat_oracle(f)[0] else (0,)
 
 
 def _worst_falsifier(f, primes, refutes):
-    """(level, critical prime), given f's prime closure and a refutation
-    test `refutes(g, k)` on packed clause-sets, monotone in k: the worst
-    least refuting level over the falsified instances of the primes, with
-    the first critical prime in canonical order.  TOP has no primes and
-    gives (0, None); unsatisfiable f has the one prime BOT, whose
-    falsifier leaves f itself, and no critical prime.  As in
+    """(level, packed critical prime), given f's prime table and a
+    refutation test `refutes(g, k)` on packed clause-sets, monotone in k:
+    the worst least refuting level over the falsified instances of the
+    primes, with the first critical prime in the table's order.  TOP has
+    no primes and gives (0, None); unsatisfiable f has the one prime 0,
+    whose falsifier leaves f itself, and no critical prime.  As in
     `_phd_with_witness`, each distinct instance h is tested at the
     running maximum and climbed only when that fails.  Level-n
     propagation and resolution with no bound left both refute at
     n = n(h), so a climb past n + 1 is an integrity error."""
     g = pack_set(f)
     best, crit, done = 0, None, set()
-    for c in sorted_clauses(primes):
-        h = falsify(g, pack(c))
+    for c in primes:
+        h = falsify(g, c)
         if h in done:
             continue
         done.add(h)
@@ -295,26 +294,25 @@ def _phd_with_witness(f, primes, cache):
     level of a pair is the least one assigning x.  It is climbed only when
     level `best` does not assign x (higher levels assign a superset), so
     the maximum is unchanged."""
-    if BOT in primes:
+    if 0 in primes:
         return _worst_falsifier(f, primes, _propagation_refutes(cache))[0], {}
     g = pack_set(f)
     best = 0
     witness = {}
-    for c in sorted_clauses(primes):
-        m = pack(c)
-        for b in bits(m):
-            h = falsify(g, m ^ b)
+    for c in primes:
+        for b in bits(c):
+            h = falsify(g, c ^ b)
             k, top = best, packed_variable_count(h)
             while b not in propagate_packed(h, k, cache)[1]:
                 if k >= top:
                     raise IntegrityError(
                         "implied literal not forced at saturation",
-                        witness={"prime": list(clause_key(c)),
+                        witness={"prime": list(clause_key(unpack(c))),
                                  "literal": bit_literal(b)})
                 k += 1
             if k > best:
                 best = k
-                witness = clause_falsifier(c - {bit_literal(b)})
+                witness = clause_falsifier(unpack(c ^ b))
     return best, witness
 
 
@@ -337,7 +335,8 @@ def hardness_report(f):
     for name, refutes in (("hd", _propagation_refutes(cache)),
                           ("whd", _k_res_refutes), ("wid", _width_refutes)):
         level, crit = _worst_falsifier(f, primes, refutes)
-        witnesses[name] = {"critical_prime": crit, "level": level}
+        witnesses[name] = {"critical_prime": None if crit is None
+                           else unpack(crit), "level": level}
     level, phi = _phd_with_witness(f, primes, cache)
     witnesses["phd"] = {"assignment": phi, "level": level}
     levels = {name: w["level"] for name, w in witnesses.items()}

@@ -131,6 +131,6 @@ def mps_via_doping(f):
         raise CapExceededError("doped prime route capped at 24 variables")
     members = {}
     for prime in prime_implicates(d.doped):
-        member, pure = undope_prime(prime, d.doping_map)
+        member, pure = undope_prime(unpack(prime), d.doping_map)
         members[member] = pure
     return MpsFamily(members=members)

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 from .core import (SubsumptionIndex, bits, falsify, flip, pack, pack_set,
-                   union, unpack_set, variable_bits)
+                   sorted_masks, union, variable_bits)
 from .errors import CapExceededError
 from .propagation import _unit_scan, sat_packed
 
@@ -34,8 +34,9 @@ def prime_implicates(f, cap_clauses=100000):
     eliminated variable, so which input hits the cap depends on that
     order, not only on the primes.
 
-    Returns exactly the inclusion-minimal implicates.  TOP yields TOP,
-    anything unsatisfiable yields {BOT}.
+    Returns f's prime table: exactly the inclusion-minimal implicates,
+    packed, as a tuple in `core.sorted_masks` order.  TOP yields (),
+    anything unsatisfiable (0,).
     """
     g = pack_set(f)
     u = union(g)
@@ -56,39 +57,34 @@ def prime_implicates(f, cap_clauses=100000):
         if len(kept) > cap_clauses:
             raise CapExceededError(
                 "prime implicate closure exceeded %d clauses" % cap_clauses)
-    return unpack_set(kept)
+    return tuple(sorted_masks(kept))
 
 
-def essential_primes(f, cap_vars=24, primes=None):
-    """Primes that no other primes can replace.
+def essential_primes(primes, cap_vars=24):
+    """The primes of the prime table `primes` (`prime_implicates`) that
+    no other primes can replace, as a frozenset of packed clauses.
 
     A prime is replaceable when the other primes entail it.  Unit
-    propagation over them under its falsifier tries that first, as a
-    refutation proves the entailment; only the primes it leaves open go
-    to `entails`.  So `cap_vars` is checked only for those, every
-    essential prime among them: an input with no essential prime whose
-    replaceable primes unit propagation all refutes is answered under
-    any cap.  `primes`, when given, must be the prime implicates of f;
-    it saves recomputing the closure.
+    propagation over them, shortest first as the table is, under its
+    falsifier tries that first, as a refutation proves the entailment;
+    only the primes it leaves open go to `entails`.  So `cap_vars` is
+    checked only for those, every essential prime among them: an input
+    with no essential prime whose replaceable primes unit propagation
+    all refutes is answered under any cap.
     """
-    if primes is None:
-        primes = prime_implicates(f)
-    packed = {c: pack(c) for c in primes}
-    g = frozenset(packed.values())
-    short = sorted(g, key=int.bit_count)  # early units end a scan early
     return frozenset(
-        c for c, m in packed.items()
-        if _unit_scan(filter(m.__ne__, short), flip(m))[0] is None
-        and not entails(g - {m}, m, cap_vars))
+        m for m in primes
+        if _unit_scan(filter(m.__ne__, primes), flip(m))[0] is None
+        and not entails(filter(m.__ne__, primes), m, cap_vars))
 
 
 @dataclass(frozen=True)
 class PrimeReport:
-    primes: frozenset
+    primes: tuple  # the prime table, as `prime_implicates` returns it
     essential: frozenset
 
 
 def prime_report(f, cap_vars=24):
     primes = prime_implicates(f)
-    ess = essential_primes(f, cap_vars=cap_vars, primes=primes)
+    ess = essential_primes(primes, cap_vars=cap_vars)
     return PrimeReport(primes=primes, essential=ess)

@@ -1,11 +1,11 @@
 """Trigger hypergraphs and the lower-bound machinery built on them.
 
-The hypergraph at level k has the prime implicates as vertices and, for
-each prime C, the edge of all primes compatible with the falsifier of C
-that shrink to size <= k under it.  Every equivalent clause-set within
-asymmetric width k must hit every edge, so the transversal number bounds
-its size from below; disjoint-edge witnesses bound the transversal number
-in turn.
+The hypergraph at level k has f's prime table (`primes.prime_implicates`)
+as vertices and, for each prime C, the edge of all primes compatible
+with the falsifier of C that shrink to size <= k under it.  Every
+equivalent clause-set within asymmetric width k must hit every edge, so
+the transversal number bounds its size from below; disjoint-edge
+witnesses bound the transversal number in turn.
 """
 
 import heapq
@@ -16,17 +16,15 @@ from functools import cached_property
 from math import comb
 
 from .compile import equivalent_subset, smallest_base
-from .core import (clause_key, flip, pack, pack_set, sorted_clauses,
-                   unpack_set)
+from .core import clause_key, flip, unpack, unpack_set
 from .errors import ParseError
 from .hardness import whd_at_most
-from .primes import prime_implicates
 from .trees import depth_subtrees, is_leaf, leaf_paths, tree_stats
 
 
 @dataclass(frozen=True)
 class TriggerHypergraph:
-    vertices: tuple  # prime implicates in canonical order
+    vertices: tuple  # the prime table: packed primes, canonical order
     edges: tuple     # per vertex i, frozenset of vertex indices
     k: int
 
@@ -35,26 +33,23 @@ class TriggerHypergraph:
     index = cached_property(lambda g: _edge_index(g))
 
 
-def trigger_hypergraph(f, k, primes=None):
-    """Level-k trigger hypergraph of f (vertices: all prime implicates)."""
-    if primes is None:
-        primes = prime_implicates(f)
-    vs = sorted_clauses(primes)
-    masks = [pack(c) for c in vs]
-    numbered = list(enumerate(masks))
+def trigger_hypergraph(primes, k):
+    """Level-k trigger hypergraph whose vertices are the prime table
+    `primes` of some f, as given."""
+    numbered = list(enumerate(primes))
     edges = []
-    for c in masks:
+    for c in primes:
         neg, out = flip(c), ~c
         edges.append(frozenset([i for i, d in numbered
                                 if (d & out).bit_count() <= k
                                 and not d & neg]))
-    return TriggerHypergraph(vertices=tuple(vs), edges=tuple(edges), k=k)
+    return TriggerHypergraph(vertices=primes, edges=tuple(edges), k=k)
 
 
 def hypergraph_to_json(g):
     return json.dumps({
         "k": g.k,
-        "vertices": [list(clause_key(c)) for c in g.vertices],
+        "vertices": [list(clause_key(unpack(c))) for c in g.vertices],
         "edges": [sorted(e) for e in g.edges],
     }, sort_keys=True)
 
@@ -271,8 +266,8 @@ class MinEquivResult:
 
 def min_equivalent_size(hypergraph, essential, tau, cap_primes=18):
     """Smallest equivalent subset of the primes with asymmetric width <= k,
-    for the level-k trigger `hypergraph` of the primes, their `essential`
-    primes and `tau`, the hypergraph's `transversal_number`.
+    for the level-k trigger `hypergraph` of a prime table, its packed
+    `essential` primes and `tau`, the hypergraph's `transversal_number`.
 
     The search is `compile.smallest_base` from the floor
     max(tau.lower_bound, |essential primes|), over the subsets holding
@@ -281,16 +276,14 @@ def min_equivalent_size(hypergraph, essential, tau, cap_primes=18):
     representative.  When tau forces every prime, the full set is the
     single candidate and is tried whatever the cap.
     """
-    vs = [pack(c) for c in hypergraph.vertices]
+    vs = hypergraph.vertices
     g = frozenset(vs)
-    k = hypergraph.k
-    ess = pack_set(essential)
-    floor = max(tau.lower_bound, len(ess))
+    floor = max(tau.lower_bound, len(essential))
     edges = [frozenset(vs[i] for i in e) for e in hypergraph.index[0]]
-    rep = smallest_base(vs, ess,
+    rep = smallest_base(vs, essential,
                         lambda sub: (all(e & sub for e in edges)
                                      and equivalent_subset(sub, g)
-                                     and whd_at_most(sub, k, g)),
+                                     and whd_at_most(sub, hypergraph.k, g)),
                         floor, cap_primes)
     if rep is None:
         return MinEquivResult(size=floor, representative=frozenset(),

@@ -26,7 +26,7 @@ from cnfkc.core import (BOT, apply_assignment, assignment_satisfies,
                         clause_falsifier, clause_key, flip, instantiate,
                         literal_assignment, literal_bit, literals_of,
                         pack_set, packed_variable_count, resolve,
-                        sorted_clauses, sorted_masks, unpack_set, variables)
+                        sorted_clauses, unpack_set, variables)
 from cnfkc.errors import CapExceededError, IntegrityError
 from cnfkc.hardness import hd_at_most, k_res_packed, whd_at_most
 from cnfkc.mpsdope import MuFlags, pure_clause
@@ -318,13 +318,14 @@ def equivalent(f, g, cap_vars=24):
 
 
 def smallest_hd_base(primes, k, cap_primes):
-    """The smallest equivalent subset of the prime implicates `primes`
-    within hardness k: `compile.smallest_base` from the essential primes
-    under `hd_at_most`; None when the cap stops it."""
-    g = pack_set(primes)
-    ess = pack_set(essential_primes(primes, primes=primes))
+    """The smallest equivalent subset of the prime table `primes`
+    (`prime_implicates`) within hardness k: `compile.smallest_base` from
+    the essential primes under `hd_at_most`; None when the cap stops
+    it."""
+    g = frozenset(primes)
+    ess = essential_primes(primes)
     base = smallest_base(
-        sorted_masks(g), ess,
+        primes, ess,
         lambda sub: equivalent_subset(sub, g) and hd_at_most(sub, k, g),
         len(ess), cap_primes)
     return None if base is None else unpack_set(base)
@@ -335,10 +336,8 @@ def greedy_whd_base(f, k):
     equivalent prime subset within asymmetric width k from which one
     sweep removed every prime it could."""
     primes = prime_implicates(f)
-    g = pack_set(primes)
-    ess = pack_set(essential_primes(f, primes=primes))
-    base = greedy_base(sorted_masks(g), ess,
-                       lambda sub: whd_at_most(sub, k, g))[0]
+    base = greedy_base(primes, essential_primes(primes),
+                       lambda sub: whd_at_most(sub, k, primes))[0]
     return unpack_set(base)
 
 
@@ -347,8 +346,8 @@ def min_equivalent_of(f, k, cap_primes=18):
     f, with the essential primes and τ that `cli.separation_row` gives
     it."""
     primes = prime_implicates(f)
-    g = trigger_hypergraph(f, k, primes=primes)
-    return min_equivalent_size(g, essential_primes(f, primes=primes),
+    g = trigger_hypergraph(primes, k)
+    return min_equivalent_size(g, essential_primes(primes),
                                transversal_number(g), cap_primes)
 
 

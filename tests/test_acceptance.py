@@ -11,7 +11,8 @@ import random
 
 from cnfkc.cli import build_g_n, build_horn_chain, separation_row
 from cnfkc.compile import answer_query, k_base
-from cnfkc.core import BOT, apply_assignment, clause, variables
+from cnfkc.core import (BOT, apply_assignment, clause, pack, unpack,
+                        unpack_set, variables)
 from cnfkc.hardness import hd, whd, wid
 from cnfkc.mpsdope import (dope, mps_enumerate, mps_via_doping, pure_clause)
 from cnfkc.primes import prime_implicates
@@ -184,24 +185,25 @@ def test_criterion_6_trigger_suite():
     failures = []
     f = cs([1, -3, -4], [2, 3, -4], [2, -3, 4], [-2, 3, 4], [1, 3, 4],
            [1, 2])
-    check(failures, prime_implicates(f) == f, "six-clause set self-prime")
-    g1 = trigger_hypergraph(f, 1)
-    g2 = trigger_hypergraph(f, 2)
-    short = g1.vertices.index(clause([1, 2]))
+    primes = prime_implicates(f)
+    check(failures, unpack_set(primes) == f, "six-clause set self-prime")
+    g1 = trigger_hypergraph(primes, 1)
+    g2 = trigger_hypergraph(primes, 2)
+    short = g1.vertices.index(pack(clause([1, 2])))
     check(failures, g1.edges[short] == frozenset([short]),
           "level-1 edge of the short clause")
     expect = cs([1, -3, -4], [2, 3, -4], [2, -3, 4], [1, 3, 4], [1, 2])
     check(failures,
-          {g2.vertices[i] for i in g2.edges[short]} == expect,
+          {unpack(g2.vertices[i]) for i in g2.edges[short]} == expect,
           "level-2 edge of the short clause")
     for k in (3, 4):
-        check(failures, trigger_hypergraph(f, k).edges == g2.edges,
+        check(failures, trigger_hypergraph(primes, k).edges == g2.edges,
               "level-%d hypergraph equals level 2" % k)
     rng = random.Random(106)
     for _ in range(20):
         h = oracles.random_clause_set(rng, max_n=4, max_c=5)
         for k in (0, 1, 2):
-            g = trigger_hypergraph(h, k)
+            g = trigger_hypergraph(prime_implicates(h), k)
             tau = transversal_number(g)
             nu = matching_number(g)
             check(failures, tau.exact and nu.exact and tau.value >= nu.value,
@@ -225,10 +227,10 @@ def test_criterion_7_matching_floor_rows():
         # disjoint and raises otherwise; re-check one row independently
     t = extremal_tree(1, 3)
     d = dope(tree_to_clauses(t))
-    g = trigger_hypergraph(d.doped, 0)
+    g = trigger_hypergraph(prime_implicates(d.doped), 0)
     sets = sperner_witness(t, 0)
-    edges = [g.edges[g.vertices.index(
-        doped_clause_of_leafset(t, d, sorted(v)))] for v in sets]
+    edges = [g.edges[g.vertices.index(pack(
+        doped_clause_of_leafset(t, d, sorted(v))))] for v in sets]
     for i in range(len(edges)):
         for j in range(i):
             check(failures, not (edges[i] & edges[j]),
@@ -239,8 +241,8 @@ def test_criterion_7_matching_floor_rows():
 def test_criterion_8_compilation_size_gap():
     failures = []
     d = dope(tree_to_clauses(extremal_tree(2, 2)))
-    primes = prime_implicates(d.doped)
-    tau = transversal_number(trigger_hypergraph(d.doped, 1, primes=primes))
+    tau = transversal_number(
+        trigger_hypergraph(prime_implicates(d.doped), 1))
     me = min_equivalent_of(d.doped, 1)
     check(failures, me.exact, "perfect-tree search inexact")
     check(failures, me.size >= tau.value,
@@ -265,7 +267,8 @@ def test_criterion_9_oracle_equivalences():
         f = oracles.random_clause_set(rng, max_n=5, max_c=6)
         if hd(f) != oracles.hd_by_definition(f):
             failures.append("hardness oracle mismatch on instance %d" % i)
-        if prime_implicates(f) != oracles.prime_implicates_bruteforce(f):
+        if (unpack_set(prime_implicates(f))
+                != oracles.prime_implicates_bruteforce(f)):
             failures.append("prime oracle mismatch on instance %d" % i)
         k = whd(f)
         sat = oracles.satisfiable_tt(f)

@@ -212,6 +212,11 @@ def test_malformed_arguments_are_parse_errors(argv, config, tmp_path,
      "config key cap_vars must be at least 0, got -3"),
     (("separation", "--k-range", "1", "--h-range", "2"),
      "cap_primes = -1\n", "config key cap_primes must be at least 0, got -1"),
+    # a negative level has no extremal tree, which named no flag
+    (("generate", "--family", "extremal_doped", "--k", "-1"), None,
+     "--k must be at least 0, got -1"),
+    (("separation", "--k-range", "-1", "--h-range", "2"), None,
+     "--k-range must be at least 0, got -1"),
 ])
 def test_ambiguous_or_unknown_settings_are_parse_errors(argv, config, message,
                                                         tmp_path, capsys):
@@ -265,6 +270,30 @@ def test_mps_doping_route_at_its_cap(tmp_path, capsys):
     path.write_text(emit_dimacs(frozenset(clause([v]) for v in range(1, 13))))
     code, out = run(capsys, "mps", str(path), "--route", "doping")
     assert code == 0 and json.loads(out)["count"] == 12
+
+
+@pytest.mark.parametrize("kind", ["MC", "ME"])
+def test_model_queries_past_the_recursion_limit_exit_3(kind, tmp_path,
+                                                       capsys):
+    # the model walk recurses once per split, and n units split n times
+    # on the one branch that is not refuted
+    path = tmp_path / "units.cnf"
+    path.write_text(emit_dimacs(frozenset(clause([v])
+                                          for v in range(1, 1201))))
+    assert main(["query", "--kind", kind, "--k", "1", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: model search exceeded Python's recursion limit\n")
+    path.write_text(emit_dimacs(frozenset(clause([v])
+                                          for v in range(1, 901))))
+    code, out = run(capsys, "query", "--kind", kind, "--k", "1", str(path))
+    assert code == 0
+    if kind == "MC":
+        assert json.loads(out) == {"kind": "MC", "answer": 1}
+    else:
+        assert json.loads(out)["models"] == [
+            {str(v): 1 for v in range(1, 901)}]
 
 
 def test_kbase_beyond_oracle_cap_exit_code(tmp_path, capsys):

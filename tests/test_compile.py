@@ -7,8 +7,7 @@ from cnfkc.compile import (answer_query, count_models, enumerate_models,
                            equivalent_subset, greedy_base, k_base,
                            smallest_base)
 from cnfkc.core import (TOP, apply_assignment, clause, falsify, pack,
-                        pack_set, sorted_clauses, sorted_masks, unpack_set,
-                        variables)
+                        pack_set, unpack_set, variables)
 from cnfkc.errors import CapExceededError, IntegrityError, ParseError
 from cnfkc.hardness import derives, hd, k_res_packed, whd
 from cnfkc.mpsdope import dope
@@ -44,7 +43,7 @@ def test_k_base_invariants_on_corpus():
         primes = prime_implicates(f)
         for k in (1, 2):
             base = k_base(primes, k)
-            assert base.clauses <= primes
+            assert base.clauses <= unpack_set(primes)
             assert equivalent(base.clauses, f)
             assert hd(base.clauses) <= k
             for c in base.clauses:
@@ -79,7 +78,7 @@ def test_k_base_doped_tree_respects_transversal():
     from cnfkc.trigger import transversal_number, trigger_hypergraph
     d = dope(tree_to_clauses(extremal_tree(2, 2)))
     primes = prime_implicates(d.doped)
-    tau = transversal_number(trigger_hypergraph(d.doped, 1, primes=primes))
+    tau = transversal_number(trigger_hypergraph(primes, 1))
     base = k_base(primes, 1)
     assert len(base.clauses) >= tau.value
 
@@ -116,7 +115,7 @@ def test_k_base_exhaustive_cap_spares_a_good_essential_core():
 def test_smallest_base_rejecting_everything_is_an_integrity_error():
     primes = prime_implicates(cs([1, 2], [-1, 2], [3, 4]))
     with pytest.raises(IntegrityError):
-        smallest_base(sorted_clauses(primes), frozenset(),
+        smallest_base(primes, frozenset(),
                       lambda sub: False, 0, len(primes))
 
 
@@ -129,15 +128,16 @@ def test_exact_searches_match_the_brute_force_reference(clauses):
     them, the first returns None and the second flags a floor no larger
     than it."""
     f = frozenset(clauses)
-    primes = prime_implicates(f)
+    table = prime_implicates(f)
+    primes = unpack_set(table)
     assume(1 < len(primes) <= 10)
     hd_of = functools.cache(oracles.hd_by_definition)
     whd_of = functools.cache(references.whd_by_definition)
     for k in range(3):
         want = references.smallest_equivalent_subset(
             primes, lambda sub: hd_of(sub) <= k)
-        assert smallest_hd_base(primes, k, len(primes)) == want
-        capped = smallest_hd_base(primes, k, 0)
+        assert smallest_hd_base(table, k, len(primes)) == want
+        capped = smallest_hd_base(table, k, 0)
         if capped is not None:
             assert capped == want
         want = references.smallest_equivalent_subset(
@@ -165,8 +165,7 @@ def _implication_cycles(seed):
                       for a, b in zip(lits, lits[1:] + lits[:1]))
         f |= oracles.random_clause_set(rng, max_n=6, max_c=3)
         primes = prime_implicates(f)
-        ess = pack_set(essential_primes(primes, primes=primes))
-        yield f, sorted_masks(pack_set(primes)), ess
+        yield f, primes, essential_primes(primes)
 
 
 def test_greedy_base_never_tries_without_an_essential_prime(monkeypatch):
@@ -459,7 +458,7 @@ def test_eq_decides_each_falsified_instance_once(monkeypatch):
     falsified instances, where one saturation per clause ran 120."""
     primes, base = _doped_base()
     calls = _counted_saturations(monkeypatch)
-    assert answer_query("EQ", base, 2, other=primes)
+    assert answer_query("EQ", base, 2, other=unpack_set(primes))
     assert 0 < len(calls) <= 37
 
 
@@ -483,7 +482,7 @@ def test_ce_uc1_decided_by_unit_propagation():
     # clausal entailment on a hardness-1 clause-set needs only level 1
     f = cs([1], [-1, 2], [-1, -2, 3])
     assert hd(f) == 1
-    for c in prime_implicates(f):
+    for c in unpack_set(prime_implicates(f)):
         assert answer_query("CE", f, 1, clause=c)
     assert not answer_query("CE", f, 1, clause=clause([-1]))
     assert not answer_query("CE", f, 1, clause=clause([-3]))

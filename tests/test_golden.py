@@ -33,7 +33,7 @@ import random
 from cnfkc.cli import (build_extremal_doped, build_g_n, build_horn_chain,
                        main)
 from cnfkc.compile import answer_query
-from cnfkc.core import clause, emit_dimacs, sorted_clauses
+from cnfkc.core import clause, emit_dimacs, sorted_clauses, unpack_set
 from cnfkc.errors import CnfError
 from cnfkc.hardness import hardness_report, report_to_json, whd
 from cnfkc.primes import prime_implicates
@@ -131,7 +131,7 @@ def render_queries(name, tmp_path, capsys):
     f = CORPUS[name][0]
     k = str(whd(f))
     paths = {}
-    for label, g in (("IN", f), ("PRIMES", prime_implicates(f)),
+    for label, g in (("IN", f), ("PRIMES", unpack_set(prime_implicates(f))),
                      ("REST", frozenset(sorted_clauses(f)[1:]))):
         paths[label] = tmp_path / (label + ".cnf")
         paths[label].write_text(emit_dimacs(g))

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 import pytest
 
 from cnfkc import hardness
-from cnfkc.core import BOT, apply_assignment, clause, pack_set, variables
+from cnfkc.core import (BOT, apply_assignment, clause, falsify, pack_set,
+                        packed_variable_count, variables)
 from cnfkc.errors import CapExceededError, ParseError
-from cnfkc.hardness import (hardness_report, hd, k_res_refutes, phd, whd,
-                            wid, width_refutes)
-from cnfkc.propagation import propagate, sat_oracle
+from cnfkc.hardness import (hardness_report, hd, k_res_packed, k_res_refutes,
+                            phd, whd, wid, width_refutes)
+from cnfkc.primes import prime_implicates
+from cnfkc.propagation import propagate, propagate_packed, sat_oracle
 from cnfkc.trees import extremal_tree, tree_to_clauses
 
 import oracles
@@ -106,6 +108,25 @@ def test_phd_matches_the_exhaustive_reference(clauses):
     rep = hardness_report(f)
     assert phd(f) == rep.phd == references.phd_exhaustive(f)[0]
     assert _phd_witness_is_tight(f, rep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clause_lists() | short_clause_lists())
+@clause_list_examples
+def test_k_resolution_refutes_each_instance_at_its_propagation_level(
+        clauses):
+    # UC_k within WC_k, instance by instance: on every falsified instance
+    # of a satisfiable f's primes, k-resolution refutes at the least
+    # level at which r_k does, so its own least level is no higher
+    f = frozenset(clauses)
+    if not sat_oracle(f)[0]:
+        return
+    g = pack_set(f)
+    for c in prime_implicates(f):
+        h = falsify(g, c)
+        k = next(k for k in range(packed_variable_count(h) + 1)
+                 if 0 in propagate_packed(h, k, {})[0])
+        assert k_res_packed(h, k)[0]
 
 
 def test_phd_matches_the_exhaustive_reference_on_seven_variables():
@@ -224,7 +245,6 @@ def test_whd_decides_each_falsified_instance_once(monkeypatch):
     # instances; each is tested from the running maximum up, so no
     # instance is tested twice at one level
     from cnfkc.cli import build_extremal_doped
-    from cnfkc.primes import prime_implicates
     f = build_extremal_doped(1, 3)[1].doped
     primes = prime_implicates(f)
     asked = []
@@ -272,14 +292,15 @@ def test_report_of_top_has_the_witnesses_of_bot():
 
 
 def test_given_primes_decide_satisfiability_without_the_oracle():
-    # the closure holds BOT exactly when f is unsatisfiable, so no DPLL
-    # runs and its variable cap does not apply
+    # the prime table is (0,) exactly when f is unsatisfiable, so no
+    # DPLL runs and its variable cap does not apply
     units = frozenset(clause([v]) for v in range(1, 31))
     with pytest.raises(CapExceededError):
         hd(units)
-    assert [measure(units, primes=units)
+    primes = prime_implicates(units)
+    assert [measure(units, primes=primes)
             for measure in (hd, whd, wid, phd)] == [0, 0, 0, 1]
-    assert hd(DIFF, primes=frozenset([BOT])) == 3
+    assert hd(DIFF, primes=(0,)) == 3
 
 
 def test_report_contains_witnesses():

@@ -1,6 +1,6 @@
 import random
 
-from cnfkc.core import BOT, clause, pack, pack_set, variables
+from cnfkc.core import BOT, clause, pack, pack_set, unpack_set, variables
 from cnfkc.errors import CapExceededError
 from cnfkc.hardness import hd
 from cnfkc.mpsdope import (classify_mu, dope, is_mps_packed, mps_enumerate,
@@ -102,7 +102,7 @@ def test_bijection_roundtrip_corpus():
 
 def test_undope_prime():
     d = dope(cs([1, 2], [-1, 2]))
-    for p in prime_implicates(d.doped):
+    for p in unpack_set(prime_implicates(d.doped)):
         member, pure = undope_prime(p, d.doping_map)
         assert member and member <= d.base
         assert pure == pure_clause(member)
@@ -116,11 +116,11 @@ def test_stripping_doped_primes_covers_primes():
         f = oracles.random_clause_set(rng, max_n=4, max_c=4)
         d = dope(f)
         stripped = set()
-        for p in prime_implicates(d.doped):
+        for p in unpack_set(prime_implicates(d.doped)):
             _, pure = undope_prime(p, d.doping_map)
             stripped.add(pure)
             assert implies(f, pure)
-        for c in prime_implicates(f):
+        for c in unpack_set(prime_implicates(f)):
             assert any(s <= c for s in stripped)
 
 

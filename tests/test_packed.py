@@ -17,8 +17,8 @@ from cnfkc.hardness import (_worst_falsifier, hd, hd_at_most, k_res_packed,
 from cnfkc.mpsdope import (classify_mu, is_mps_packed, mps_enumerate,
                            mps_via_doping, pure_clause)
 from cnfkc.primes import implies, prime_implicates
-from cnfkc.propagation import (REFUTED, propagate, propagate_packed,
-                               sat_oracle, unit_refutation)
+from cnfkc.propagation import (propagate, propagate_packed, sat_oracle,
+                               unit_refutation)
 from cnfkc.trigger import trigger_hypergraph
 
 import oracles
@@ -201,7 +201,7 @@ def test_least_level_raises_past_saturation():
         return False
 
     with pytest.raises(IntegrityError, match="not refuted at saturation"):
-        _worst_falsifier(f, REFUTED, never)
+        _worst_falsifier(f, (0,), never)
     assert asked == [0, 1, 2]  # n(f) = 1, so levels 0 to n(f) + 1
 
 
@@ -334,7 +334,7 @@ def test_a_cache_shared_by_two_clause_sets_keeps_them_apart():
     assert second.assigned == {7: 1, 9: 1}
     assert second == propagate(g, 2)
     assert propagate(f, 2, cache=cache) == first
-    primes = pack_set(prime_implicates(g))
+    primes = prime_implicates(g)
     assert hd_at_most(pack_set(g), 1, primes)
     assert not hd_at_most(pack_set(g), 0, primes)
     assert hd(g) == 1
@@ -361,13 +361,13 @@ def test_unit_refutation_matches_level_one_propagation(clauses):
 
 
 def _grow_then_shrink(primes, rng):
-    """Subsets of the packed primes as a greedy base search walks them:
-    growing in `sorted_masks` order, then shrinking in a seeded order."""
+    """Subsets of the prime table as a greedy base search walks them:
+    growing in the table's order, then shrinking in a seeded order."""
     sub = frozenset()
-    for c in sorted_masks(primes):
+    for c in primes:
         sub |= {c}
         yield sub
-    for c in rng.sample(sorted_masks(primes), len(primes)):
+    for c in rng.sample(primes, len(primes)):
         sub -= {c}
         yield sub
 
@@ -378,7 +378,7 @@ def test_hd_at_most_with_shared_proofs_answers_as_without(clauses, rng):
     """One `proofs` dict over a grow-then-shrink walk changes no answer,
     and each certificate stored is a subset of the clause-set it came
     from that level-k propagation refutes under its prime's falsifier."""
-    primes = pack_set(prime_implicates(frozenset(clauses)))
+    primes = prime_implicates(frozenset(clauses))
     for k in range(3):
         proofs = {}
         for sub in _grow_then_shrink(primes, rng):
@@ -419,7 +419,9 @@ def test_saturation_caps_still_apply():
 @clause_list_examples
 def test_trigger_edges_match_the_frozenset_scan(clauses):
     primes = prime_implicates(clauses)
+    unpacked = unpack_set(primes)
     for k in range(4):
-        g = trigger_hypergraph(clauses, k, primes=primes)
-        assert g.vertices == tuple(sorted_clauses(primes))
-        assert g.edges == references.trigger_edges_frozenset(primes, k)
+        g = trigger_hypergraph(primes, k)
+        assert tuple(map(unpack, g.vertices)) == tuple(
+            sorted_clauses(unpacked))
+        assert g.edges == references.trigger_edges_frozenset(unpacked, k)

@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import example, given, settings
 
-from cnfkc.core import BOT, clause, subsumption_eliminate
+from cnfkc.core import (clause, pack_set, sorted_masks, subsumption_eliminate,
+                        unpack_set)
 from cnfkc.errors import CapExceededError
 from cnfkc.primes import essential_primes, implies, prime_implicates
+from cnfkc.trigger import trigger_hypergraph
 
 import oracles
 from references import equivalent
@@ -36,13 +38,14 @@ def test_implies_matches_truth_table():
 
 
 def test_prime_implicates_unsat_is_bot():
-    assert prime_implicates(cs([1], [-1])) == frozenset([BOT])
+    assert prime_implicates(cs([1], [-1])) == (0,)
+    assert prime_implicates(frozenset()) == ()
 
 
 def test_prime_implicates_trighyp_fixpoint():
     f = cs([1, -3, -4], [2, 3, -4], [2, -3, 4], [-2, 3, 4], [1, 3, 4],
            [1, 2])
-    assert prime_implicates(f) == f
+    assert unpack_set(prime_implicates(f)) == f
 
 
 def test_prime_implicates_doped_gn_count():
@@ -57,7 +60,8 @@ def test_closure_matches_bruteforce():
     rng = random.Random(22)
     for _ in range(80):
         f = oracles.random_clause_set(rng, max_n=5, max_c=7)
-        assert prime_implicates(f) == prime_implicates_bruteforce(f)
+        assert unpack_set(prime_implicates(f)) == (
+            prime_implicates_bruteforce(f))
 
 
 def cl(*clauses):
@@ -74,10 +78,14 @@ def cl(*clauses):
 # 5, 3, 2, 7, 1000 on sparse ids
 @example(cl([1000, -7], [7, 3], [7, -3, 2], [-1000, 2], [-1000, -2, 5]))
 def test_closure_matches_allpairs_and_bruteforce(f):
+    # the prime table: packed primes in canonical order, which its
+    # consumers take as they are
     primes = prime_implicates(f)
-    assert primes == oracles.prime_implicates_allpairs(f)
-    assert primes == prime_implicates_bruteforce(f)
-    assert essential_primes(f) == essential_primes(f, primes=primes)
+    assert primes == tuple(sorted_masks(pack_set(
+        prime_implicates_bruteforce(f))))
+    assert unpack_set(primes) == oracles.prime_implicates_allpairs(f)
+    assert trigger_hypergraph(primes, 1).vertices is primes
+    assert essential_primes(primes) <= set(primes)
 
 
 def test_doped_tree_k2_h4_closure_has_one_prime_per_leafset():
@@ -96,7 +104,7 @@ def test_doped_tree_k1_h4_has_one_prime_per_leafset():
     t, d = build_extremal_doped(1, 4)
     addrs = sorted(leaf_paths(t))
     assert len(addrs) == 11
-    primes = prime_implicates(d.doped)
+    primes = unpack_set(prime_implicates(d.doped))
     assert len(primes) == 2 ** 11 - 1
     assert primes == {doped_clause_of_leafset(t, d, combo)
                       for r in range(1, len(addrs) + 1)
@@ -121,7 +129,7 @@ def test_antichain_and_minimality():
     rng = random.Random(23)
     for _ in range(40):
         f = oracles.random_clause_set(rng)
-        primes = prime_implicates(f)
+        primes = unpack_set(prime_implicates(f))
         assert subsumption_eliminate(primes) == primes
         for c in primes:
             assert implies(f, c)
@@ -130,15 +138,15 @@ def test_antichain_and_minimality():
 
 
 def test_essential_primes():
-    assert essential_primes(cs([1])) == cs([1])
+    assert essential_primes(prime_implicates(cs([1]))) == pack_set(cs([1]))
     # doped clauses are always essential primes of the doped clause-set
     from cnfkc.mpsdope import dope
     rng = random.Random(25)
     for _ in range(15):
         f = oracles.random_clause_set(rng, max_n=4, max_c=4)
         d = dope(f)
-        ess = essential_primes(d.doped)
-        assert d.doped <= ess
+        ess = essential_primes(prime_implicates(d.doped))
+        assert pack_set(d.doped) <= ess
 
 
 @settings(max_examples=300, deadline=None)
@@ -149,8 +157,8 @@ def test_essential_primes():
 @example(cl([1, 2], [1, 3, 4], [-1, -2], [-1, -2, 3, 4], [-1, -3, 2, 4],
             [-1, -4, 2, 3], [-1, -2, -4, 3], [-2, -3, -4, 1]))
 def test_essential_primes_match_the_truth_table(f):
-    primes = prime_implicates(f)
-    assert essential_primes(f) == {
+    primes = unpack_set(prime_implicates(f))
+    assert unpack_set(essential_primes(prime_implicates(f))) == {
         c for c in primes if not oracles.implies_tt(primes - {c}, c)}
 
 
@@ -158,21 +166,21 @@ def test_essential_primes_reach_the_cap_only_past_unit_propagation():
     # unit propagation shows every prime of f replaceable, so no DPLL
     # runs and the variable cap of 0 is never checked
     f = cs([-1, -3], [1, 2, -3], [-1, -2, 3], [-2, 3], [1, 2])
-    assert essential_primes(f, cap_vars=0) == frozenset()
+    assert essential_primes(prime_implicates(f), cap_vars=0) == frozenset()
     # a unit prime is essential, so the DPLL decides it under the cap
     with pytest.raises(CapExceededError):
-        essential_primes(cs([1], [2]), cap_vars=0)
+        essential_primes(prime_implicates(cs([1], [2])), cap_vars=0)
 
 
 def test_equivalent():
     f = cs([1], [1, 2])
     assert equivalent(f, cs([1]))
-    assert equivalent(f, prime_implicates(f))
+    assert equivalent(f, unpack_set(prime_implicates(f)))
     assert not equivalent(f, cs([2]))
     rng = random.Random(26)
     for _ in range(30):
         g = oracles.random_clause_set(rng)
-        assert equivalent(g, prime_implicates(g))
+        assert equivalent(g, unpack_set(prime_implicates(g)))
         assert equivalent(g, subsumption_eliminate(g))
 
 
@@ -181,8 +189,8 @@ def test_equivalent_subset_size_at_least_essential_count():
     from cnfkc.mpsdope import dope
     from cnfkc.cli import build_g_n
     d = dope(build_g_n(3))
-    primes = prime_implicates(d.doped)
-    ess = essential_primes(d.doped)
+    primes = unpack_set(prime_implicates(d.doped))
+    ess = unpack_set(essential_primes(prime_implicates(d.doped)))
     assert ess <= primes
     for c in ess:
         assert not equivalent(primes - {c}, primes)

@@ -4,7 +4,7 @@ import sys
 from math import comb
 
 from cnfkc.cli import main
-from cnfkc.core import BOT, apply_assignment, clause, variables
+from cnfkc.core import BOT, apply_assignment, clause, unpack_set, variables
 from cnfkc.errors import IntegrityError, ParseError
 from cnfkc.hardness import hd
 from cnfkc.mpsdope import dope
@@ -202,7 +202,7 @@ def test_doped_leafsets_enumerate_primes():
         for r in range(1, len(addrs) + 1):
             for combo in itertools.combinations(addrs, r):
                 generated.add(doped_clause_of_leafset(t, d, combo))
-        assert generated == set(prime_implicates(d.doped))
+        assert generated == unpack_set(prime_implicates(d.doped))
 
 
 def test_full_clause_iff_hs_at_most_1():

@@ -3,7 +3,7 @@ from math import comb
 
 from hypothesis import example, given, settings, strategies as st
 
-from cnfkc.core import clause
+from cnfkc.core import clause, pack, unpack, unpack_set
 from cnfkc.errors import ParseError
 from cnfkc.hardness import whd
 from cnfkc.mpsdope import dope
@@ -29,33 +29,38 @@ TRIG = cs([1, -3, -4], [2, 3, -4], [2, -3, 4], [-2, 3, 4], [1, 3, 4],
           [1, 2])
 
 
+def trigger_of(f, k):
+    """The level-k trigger hypergraph of the clause-set f."""
+    return trigger_hypergraph(prime_implicates(f), k)
+
+
 def edge_of(g, c):
-    return g.edges[g.vertices.index(clause(c))]
+    return g.edges[g.vertices.index(pack(clause(c)))]
 
 
 def named(g, idxs):
-    return {g.vertices[i] for i in idxs}
+    return {unpack(g.vertices[i]) for i in idxs}
 
 
 def test_level0_edges_are_singletons():
-    g = trigger_hypergraph(TRIG, 0)
+    g = trigger_of(TRIG, 0)
     assert all(e == frozenset([i]) for i, e in enumerate(g.edges))
     rng = random.Random(71)
     for _ in range(30):
         f = oracles.random_clause_set(rng)
-        g = trigger_hypergraph(f, 0)
+        g = trigger_of(f, 0)
         assert all(e == frozenset([i]) for i, e in enumerate(g.edges))
 
 
 def test_trighyp_example_edges():
-    assert prime_implicates(TRIG) == TRIG
-    g1 = trigger_hypergraph(TRIG, 1)
+    assert unpack_set(prime_implicates(TRIG)) == TRIG
+    g1 = trigger_of(TRIG, 1)
     assert named(g1, edge_of(g1, [1, 2])) == cs([1, 2])
-    g2 = trigger_hypergraph(TRIG, 2)
+    g2 = trigger_of(TRIG, 2)
     assert named(g2, edge_of(g2, [1, 2])) == cs(
         [1, -3, -4], [2, 3, -4], [2, -3, 4], [1, 3, 4], [1, 2])
     for k in (3, 4, 7):
-        assert trigger_hypergraph(TRIG, k).edges == g2.edges
+        assert trigger_of(TRIG, k).edges == g2.edges
 
 
 def test_vertex_always_in_own_edge():
@@ -63,13 +68,13 @@ def test_vertex_always_in_own_edge():
     for _ in range(40):
         f = oracles.random_clause_set(rng)
         for k in (0, 1, 2):
-            g = trigger_hypergraph(f, k)
+            g = trigger_of(f, k)
             for i, e in enumerate(g.edges):
                 assert i in e
-                c = g.vertices[i]
+                c = unpack(g.vertices[i])
                 neg = {-x for x in c}
                 for j in e:
-                    d = g.vertices[j]
+                    d = unpack(g.vertices[j])
                     assert not (d & neg) and len(d - c) <= k
 
 
@@ -77,9 +82,9 @@ def test_equivalence_invariance():
     rng = random.Random(73)
     for _ in range(30):
         f = oracles.random_clause_set(rng)
-        primes = prime_implicates(f)
+        primes = unpack_set(prime_implicates(f))
         for k in (0, 1, 2):
-            assert trigger_hypergraph(f, k) == trigger_hypergraph(primes, k)
+            assert trigger_of(f, k) == trigger_of(primes, k)
 
 
 def test_transversal_trivial_cases():
@@ -96,7 +101,7 @@ def test_transversal_trivial_cases():
 
 
 def test_transversal_of_trighyp_contains_forced_vertex():
-    g = trigger_hypergraph(TRIG, 1)
+    g = trigger_of(TRIG, 1)
     r = transversal_number(g)
     assert r.exact
     assert clause([1, 2]) in named(g, r.witness)
@@ -128,7 +133,7 @@ def test_matching_on_a_deep_star_does_not_recurse():
 def _row_hypergraph(k, h):
     from cnfkc.cli import build_extremal_doped
     _, d = build_extremal_doped(k, h)
-    return trigger_hypergraph(d.doped, k)
+    return trigger_of(d.doped, k)
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +238,7 @@ def test_tau_at_least_nu():
     for _ in range(25):
         f = oracles.random_clause_set(rng, max_n=4, max_c=5)
         for k in (0, 1, 2):
-            g = trigger_hypergraph(f, k)
+            g = trigger_of(f, k)
             tau = transversal_number(g)
             nu = matching_number(g)
             assert tau.exact and nu.exact
@@ -243,7 +248,7 @@ def test_tau_at_least_nu():
 def test_matching_doped_extremal_tree():
     t = extremal_tree(1, 3)
     d = dope(tree_to_clauses(t))
-    g = trigger_hypergraph(d.doped, 0)
+    g = trigger_of(d.doped, 0)
     nu = matching_number(g)
     assert nu.exact and nu.value >= comb(4, 2)
     # level 0: singleton edges, so the matching saturates the vertices
@@ -275,12 +280,12 @@ def test_sperner_witness_edges_pairwise_disjoint():
         if len(leaf_paths(t)) > 8:
             continue
         d = dope(tree_to_clauses(t))
-        g = trigger_hypergraph(d.doped, k)
+        g = trigger_of(d.doped, k)
         sets = sperner_witness(t, k)
         edges = []
         for v in sets:
             c = doped_clause_of_leafset(t, d, v)
-            edges.append(g.edges[g.vertices.index(c)])
+            edges.append(g.edges[g.vertices.index(pack(c))])
         for i in range(len(edges)):
             for j in range(i + 1, len(edges)):
                 assert not (edges[i] & edges[j])
@@ -292,7 +297,7 @@ def test_min_equivalent_level0_is_prime_count():
     rng = random.Random(75)
     for _ in range(15):
         f = oracles.random_clause_set(rng, max_n=4, max_c=4)
-        primes = prime_implicates(f)
+        primes = unpack_set(prime_implicates(f))
         r = min_equivalent_of(f, 0)
         assert r.exact and r.size == len(primes)
         assert r.representative == primes
@@ -309,7 +314,7 @@ def test_min_equivalent_doped_horn_chain():
 def test_min_equivalent_exhaustive_perfect_tree():
     t = extremal_tree(2, 2)
     d = dope(tree_to_clauses(t))
-    g = trigger_hypergraph(d.doped, 1)
+    g = trigger_of(d.doped, 1)
     tau = transversal_number(g)
     r = min_equivalent_of(d.doped, 1)
     assert r.exact
@@ -370,7 +375,7 @@ def test_min_equivalent_forced_by_tau_ignores_the_cap():
     d = build_extremal_doped(0, 3)[1]
     r = min_equivalent_of(d.doped, 0, cap_primes=0)
     assert r.exact and r.size == r.lower_bound == 15
-    assert r.representative == prime_implicates(d.doped)
+    assert r.representative == unpack_set(prime_implicates(d.doped))
 
 
 def test_extremal_sperner_bound_values():
@@ -381,7 +386,7 @@ def test_extremal_sperner_bound_values():
 
 
 def test_hypergraph_json_deterministic():
-    g = trigger_hypergraph(TRIG, 1)
+    g = trigger_of(TRIG, 1)
     assert hypergraph_to_json(g) == hypergraph_to_json(
-        trigger_hypergraph(TRIG, 1))
+        trigger_of(TRIG, 1))
     assert '"k": 1' in hypergraph_to_json(g)
